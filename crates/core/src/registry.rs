@@ -22,7 +22,7 @@ use eagr_agg::{Aggregate, WindowBuffer, WindowSpec};
 use eagr_exec::{EngineCore, EngineState, ParallelEngine, ShardedEngine, TransportError};
 use eagr_flow::Decisions;
 use eagr_graph::{Neighborhood, NodeId};
-use eagr_overlay::{Overlay, OverlayId, OverlayKind, RefCounts};
+use eagr_overlay::{Overlay, OverlayId, OverlayKind, RefCounts, RepairIndex};
 use eagr_util::{FastMap, FastSet};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -72,6 +72,10 @@ pub struct TopoReport {
     /// Push nodes rematerialized after repair (fresh + upgraded + dirty
     /// closure), summed across strata.
     pub rematerialized: u64,
+    /// Repair indexes built from scratch (O(overlay) each): one at a
+    /// stratum's first run and one after each attach/detach that rewrote
+    /// its overlay; every other run reuses the resident index.
+    pub index_builds: u64,
 }
 
 impl TopoReport {
@@ -82,6 +86,7 @@ impl TopoReport {
         self.fresh_overlay_nodes += other.fresh_overlay_nodes;
         self.retired_overlay_nodes += other.retired_overlay_nodes;
         self.rematerialized += other.rematerialized;
+        self.index_builds += other.index_builds;
     }
 }
 
@@ -318,7 +323,7 @@ impl<A: Aggregate> Runtime<A> {
     /// order (writers before the partials and readers they feed).
     pub(crate) fn seed(
         &self,
-        carried: Option<&EngineState<A::Partial>>,
+        carried: Option<EngineState<A::Partial>>,
         backfill: &[(OverlayId, WindowBuffer)],
         fresh_push: &FastSet<OverlayId>,
     ) {
@@ -333,7 +338,7 @@ impl<A: Aggregate> Runtime<A> {
 
 fn seed_core<A: Aggregate, S: eagr_exec::PaoStore<A::Partial>>(
     core: &EngineCore<A, S>,
-    carried: Option<&EngineState<A::Partial>>,
+    carried: Option<EngineState<A::Partial>>,
     backfill: &[(OverlayId, WindowBuffer)],
     fresh_push: &FastSet<OverlayId>,
 ) {
@@ -379,6 +384,10 @@ pub(crate) struct Stratum<A: Aggregate> {
     pub(crate) refs: RefCounts,
     /// Attached queries.
     pub(crate) queries: usize,
+    /// The §3.3 repair index over `overlay`, kept between topology runs.
+    /// Built at the stratum's first run; anything else that rewrites
+    /// `overlay` (attach, detach) drops it.
+    pub(crate) repair: Option<RepairIndex>,
 }
 
 impl<A: Aggregate> Stratum<A> {

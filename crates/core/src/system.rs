@@ -20,11 +20,11 @@ use eagr_flow::{
     Rates,
 };
 use eagr_gen::{Event, EventBatch};
-use eagr_graph::{BipartiteGraph, DataGraph, NodeId, PartitionStrategy};
+use eagr_graph::{BipartiteGraph, DataGraph, NodeId, PartitionStrategy, UndoLog};
 use eagr_overlay::{
     build_iob, build_vnm, extend_with_readers, metrics, used_subtree, DynamicConfig,
     DynamicOverlay, IobConfig, IterationStats, Overlay, OverlayId, OverlayKind, RefCounts,
-    VnmConfig,
+    RepairIndex, VnmConfig,
 };
 use eagr_util::FastSet;
 use parking_lot::{Mutex, RwLock};
@@ -415,6 +415,7 @@ where
             runtime,
             refs: RefCounts::new(),
             queries: 0,
+            repair: None,
         },
         plan: p,
         bipartite: ag,
@@ -683,6 +684,7 @@ impl<A: Aggregate> EagrSystem<A> {
                 // Quiesce so the exported state is epoch-consistent.
                 st.runtime.quiesce();
                 let outcome = extend_with_readers(&mut st.overlay, &wants);
+                st.repair = None;
                 let mut fresh: Vec<OverlayId> = outcome
                     .new_writers
                     .iter()
@@ -727,7 +729,7 @@ impl<A: Aggregate> EagrSystem<A> {
                 );
                 let fresh_push: FastSet<OverlayId> =
                     fresh.iter().chain(&upgraded).copied().collect();
-                runtime.seed(Some(&carried), &backfill, &fresh_push);
+                runtime.seed(Some(carried), &backfill, &fresh_push);
                 st.runtime = runtime;
                 st.refs.ensure_len(st.overlay.node_count());
                 (
@@ -841,7 +843,9 @@ impl<A: Aggregate> EagrSystem<A> {
         let si = entry.stratum;
         let st = reg.strata[si].as_mut().expect("entry's stratum is live");
         st.queries -= 1;
-        let zeroed = st.refs.release(&entry.used);
+        let mut zeroed = st.refs.release(&entry.used);
+        // A topology repair may have retired some of them already.
+        zeroed.retain(|&n| !st.overlay.is_retired(n));
         if st.queries == 0 {
             let retired = st.overlay.live_node_count();
             reg.strata[si] = None; // drops overlay + engine
@@ -866,6 +870,7 @@ impl<A: Aggregate> EagrSystem<A> {
         for &n in &zeroed {
             st.overlay.retire_node(n);
         }
+        st.repair = None;
         let runtime = rebuild_runtime(
             &self.inner.config,
             &st.agg,
@@ -873,7 +878,7 @@ impl<A: Aggregate> EagrSystem<A> {
             &st.decisions,
             st.window,
         );
-        runtime.seed(Some(&carried), &[], &FastSet::default());
+        runtime.seed(Some(carried), &[], &FastSet::default());
         st.runtime = runtime;
         DetachReport {
             retired_paos: zeroed.len(),
@@ -1155,6 +1160,13 @@ impl<A: Aggregate> EagrSystem<A> {
     /// place through [`ShardedEngine::apply_topo`] (workers keep running
     /// across the epoch); the local modes rebuild and re-seed from
     /// carried state.
+    ///
+    /// A run costs the region it touches, not the graph: validation applies
+    /// each mutation to the live graph under an [`UndoLog`]; each stratum
+    /// then rolls the graph back and replays the valid run through its
+    /// resident [`RepairIndex`], so the last replay leaves the graph in its
+    /// post-run state. No graph or index is copied or rebuilt, except an
+    /// index a stratum does not hold yet (see [`TopoReport::index_builds`]).
     fn apply_topo_run(&self, muts: &[Event]) -> TopoReport
     where
         A: Clone,
@@ -1164,34 +1176,41 @@ impl<A: Aggregate> EagrSystem<A> {
         let mut graph = self.inner.graph.write();
         let now = self.inner.clock.load(Ordering::Relaxed);
         let mut run = TopoReport::default();
-        // Validate once against a scratch clone of the shared graph so
-        // every stratum — and every execution mode — replays the same
-        // applied subsequence.
-        let mut probe = graph.clone();
+        // Validate on the live graph, so every stratum — and every
+        // execution mode — replays the same applied subsequence.
+        let mut undo = UndoLog::new(&graph);
         let mut valid: Vec<Event> = Vec::with_capacity(muts.len());
         for &e in muts {
             let ok = match e {
+                Event::AddEdge { from, to } | Event::RemoveEdge { from, to }
+                    if !(graph.contains(from) && graph.contains(to)) =>
+                {
+                    false
+                }
                 Event::AddEdge { from, to } => {
-                    probe.contains(from) && probe.contains(to) && probe.add_edge(from, to)
+                    undo.record_edge(&graph, from, to);
+                    graph.add_edge(from, to)
                 }
                 Event::RemoveEdge { from, to } => {
-                    probe.contains(from) && probe.contains(to) && probe.remove_edge(from, to)
+                    undo.record_edge(&graph, from, to);
+                    graph.remove_edge(from, to)
                 }
                 Event::AddNode { node } => {
                     // Ids are append-only; a mutation naming a bound id
                     // (live or tombstoned) is a replayed duplicate.
-                    if node.idx() < probe.id_bound() {
+                    if node.idx() < graph.id_bound() {
                         false
                     } else {
-                        while probe.id_bound() <= node.idx() {
-                            probe.add_node();
+                        while graph.id_bound() <= node.idx() {
+                            graph.add_node();
                         }
                         true
                     }
                 }
                 Event::RemoveNode { node } => {
-                    if probe.contains(node) {
-                        probe.remove_node(node);
+                    if graph.contains(node) {
+                        undo.record_node_removal(&graph, node);
+                        graph.remove_node(node);
                         true
                     } else {
                         false
@@ -1207,100 +1226,112 @@ impl<A: Aggregate> EagrSystem<A> {
             }
         }
         run.applied = valid.len() as u64;
-        if !valid.is_empty() {
-            run.epochs = 1;
-            for slot in reg.strata.iter_mut() {
-                let Some(st) = slot.as_mut() else { continue };
-                st.runtime.quiesce();
-                // Each stratum replays against its own clone of the
-                // pre-mutation graph: the repair diffs neighborhoods
-                // before/after, so it must start from the before-state.
-                let mut g = graph.clone();
-                let mut dyn_ov = DynamicOverlay::new(
-                    st.overlay.clone(),
-                    st.neighborhood.clone(),
-                    st.agg.props(),
-                    DynamicConfig::default(),
-                );
-                let old_n = st.overlay.node_count();
-                for &e in &valid {
-                    match e {
-                        Event::AddEdge { from, to } => {
-                            dyn_ov.add_edge(&mut g, from, to);
-                        }
-                        Event::RemoveEdge { from, to } => {
-                            dyn_ov.remove_edge(&mut g, from, to);
-                        }
-                        Event::AddNode { node } => {
-                            while g.id_bound() <= node.idx() {
-                                dyn_ov.add_node(&mut g);
-                            }
-                        }
-                        Event::RemoveNode { node } => dyn_ov.remove_node(&mut g, node),
-                        Event::Write { .. } | Event::Read { .. } => {}
-                    }
-                }
-                let dirty = dyn_ov.take_dirty();
-                let overlay = dyn_ov.into_overlay();
-                let fresh: Vec<OverlayId> = (old_n..overlay.node_count())
-                    .map(|i| OverlayId(i as u32))
-                    .filter(|&n| !overlay.is_retired(n))
-                    .collect();
-                let retired = (0..old_n)
-                    .map(|i| OverlayId(i as u32))
-                    .filter(|&n| overlay.is_retired(n) && !st.overlay.is_retired(n))
-                    .count();
-                let delta = topo_plan_delta(&overlay, &st.decisions, &fresh, &dirty);
-                // Writers born mid-stream answer over history they never
-                // saw arrive.
-                let mut backfill: Vec<(OverlayId, WindowBuffer)> = Vec::new();
-                {
-                    let history = self.inner.history.lock();
-                    for &wid in &fresh {
-                        if let OverlayKind::Writer(w) = overlay.kind(wid) {
-                            let (buf, _exact) = history.backfill(w, st.window, now);
-                            if !buf.is_empty() {
-                                backfill.push((wid, buf));
-                            }
-                        }
-                    }
-                }
-                let frozen = Arc::new(overlay.clone());
-                match &st.runtime {
-                    Runtime::Sharded(eng) => {
-                        let rep = transport_ok(eng.apply_topo(
-                            st.agg.clone(),
-                            frozen,
-                            &delta.decisions,
-                            &backfill,
-                            &delta.materialize,
-                        ));
-                        run.rematerialized += rep.rematerialized as u64;
-                    }
-                    _ => {
-                        let carried = st.runtime.export_state();
-                        let runtime = rebuild_runtime(
-                            &self.inner.config,
-                            &st.agg,
-                            frozen,
-                            &delta.decisions,
-                            st.window,
-                        );
-                        runtime.seed(Some(&carried), &backfill, &delta.materialize);
-                        st.runtime = runtime;
-                        run.rematerialized += delta.materialize.len() as u64;
-                    }
-                }
-                run.fresh_overlay_nodes += fresh.len() as u64;
-                run.retired_overlay_nodes += retired as u64;
-                st.overlay = overlay;
-                st.decisions = delta.decisions;
-                st.refs.ensure_len(st.overlay.node_count());
-            }
+        if valid.is_empty() {
+            reg.topo.absorb(&run);
+            return run;
         }
-        // Publish to the shared graph (the probe already replayed exactly
-        // the valid subsequence).
-        *graph = probe;
+        run.epochs = 1;
+        for slot in reg.strata.iter_mut() {
+            let Some(st) = slot.as_mut() else { continue };
+            st.runtime.quiesce();
+            // The repair diffs neighborhoods before/after each mutation,
+            // so it starts from the pre-run graph; its replay lands on the
+            // same post-run graph validation reached.
+            graph.rollback(&undo);
+            let index = st.repair.take().unwrap_or_else(|| {
+                run.index_builds += 1;
+                RepairIndex::build(&st.overlay)
+            });
+            let old_n = st.overlay.node_count();
+            let mut dyn_ov = DynamicOverlay::resume(
+                std::mem::take(&mut st.overlay),
+                index,
+                st.neighborhood.clone(),
+                st.agg.props(),
+                DynamicConfig::default(),
+            );
+            for &e in &valid {
+                match e {
+                    Event::AddEdge { from, to } => {
+                        dyn_ov.add_edge(&mut graph, from, to);
+                    }
+                    Event::RemoveEdge { from, to } => {
+                        dyn_ov.remove_edge(&mut graph, from, to);
+                    }
+                    Event::AddNode { node } => {
+                        while graph.id_bound() <= node.idx() {
+                            dyn_ov.add_node(&mut graph);
+                        }
+                    }
+                    Event::RemoveNode { node } => dyn_ov.remove_node(&mut graph, node),
+                    Event::Write { .. } | Event::Read { .. } => {}
+                }
+            }
+            let dirty = dyn_ov.take_dirty();
+            let retired = dyn_ov
+                .take_retired()
+                .iter()
+                .filter(|n| n.idx() < old_n)
+                .count();
+            let (overlay, index) = dyn_ov.into_parts();
+            st.repair = Some(index);
+            let fresh: Vec<OverlayId> = (old_n..overlay.node_count())
+                .map(|i| OverlayId(i as u32))
+                .filter(|&n| !overlay.is_retired(n))
+                .collect();
+            let delta = topo_plan_delta(&overlay, &st.decisions, &fresh, &dirty);
+            // Writers born mid-stream answer over history they never saw
+            // arrive.
+            let mut backfill: Vec<(OverlayId, WindowBuffer)> = Vec::new();
+            {
+                let history = self.inner.history.lock();
+                for &wid in &fresh {
+                    if let OverlayKind::Writer(w) = overlay.kind(wid) {
+                        let (buf, _exact) = history.backfill(w, st.window, now);
+                        if !buf.is_empty() {
+                            backfill.push((wid, buf));
+                        }
+                    }
+                }
+            }
+            let frozen = Arc::new(overlay.clone());
+            match &st.runtime {
+                Runtime::Sharded(eng) => {
+                    let rep = transport_ok(eng.apply_topo(
+                        st.agg.clone(),
+                        frozen,
+                        &delta.decisions,
+                        &backfill,
+                        &delta.materialize,
+                    ));
+                    run.rematerialized += rep.rematerialized as u64;
+                }
+                _ => {
+                    let carried = st.runtime.export_state();
+                    let runtime = rebuild_runtime(
+                        &self.inner.config,
+                        &st.agg,
+                        frozen,
+                        &delta.decisions,
+                        st.window,
+                    );
+                    runtime.seed(Some(carried), &backfill, &delta.materialize);
+                    st.runtime = runtime;
+                    run.rematerialized += delta.materialize.len() as u64;
+                }
+            }
+            run.fresh_overlay_nodes += fresh.len() as u64;
+            run.retired_overlay_nodes += retired as u64;
+            // Queries hold references on what they read when they attached;
+            // the stratum itself holds what its repairs wired in (rewired
+            // and fresh nodes with their inputs), so a detach never retires
+            // a node a repaired reader reads.
+            let wired: Vec<OverlayId> = fresh.iter().chain(&dirty).copied().collect();
+            st.refs.acquire(&used_subtree(&overlay, &wired));
+            st.overlay = overlay;
+            st.decisions = delta.decisions;
+            st.refs.ensure_len(st.overlay.node_count());
+        }
         reg.topo.absorb(&run);
         run
     }

@@ -441,7 +441,37 @@ impl<A: Aggregate, S: PaoStore<A::Partial>> EngineCore<A, S> {
             .iter()
             .map(|w| w.as_ref().map(|m| m.lock().clone()))
             .collect();
-        let paos = (0..self.overlay.node_count())
+        EngineState {
+            windows,
+            paos: self.export_paos(),
+        }
+    }
+
+    /// [`export_state`](Self::export_state) for an engine about to be
+    /// replaced: the window buffers are moved out (fresh empty ones stay
+    /// behind) instead of cloned; PAOs are still cloned. Reads only look at
+    /// PAOs, so a reader still holding this engine answers as before, but
+    /// no write may reach it afterwards.
+    pub fn take_state(&self) -> EngineState<A::Partial> {
+        let windows = self
+            .windows
+            .iter()
+            .map(|w| {
+                w.as_ref().map(|m| {
+                    let mut buf = m.lock();
+                    let empty = WindowBuffer::new(buf.spec());
+                    std::mem::replace(&mut *buf, empty)
+                })
+            })
+            .collect();
+        EngineState {
+            windows,
+            paos: self.export_paos(),
+        }
+    }
+
+    fn export_paos(&self) -> Vec<Option<A::Partial>> {
+        (0..self.overlay.node_count())
             .map(|i| {
                 if self.overlay.is_retired(OverlayId(i as u32)) {
                     None
@@ -449,28 +479,27 @@ impl<A: Aggregate, S: PaoStore<A::Partial>> EngineCore<A, S> {
                     Some(self.store.with_read(i, |p| p.clone()))
                 }
             })
-            .collect();
-        EngineState { windows, paos }
+            .collect()
     }
 
-    /// Install a previously [`export_state`](Self::export_state)ed
-    /// snapshot. Slots the snapshot lacks (or that this engine has no
-    /// window for — non-writers, retired nodes) are left at their initial
-    /// state. The snapshot may be shorter than this engine's arena (an
-    /// extension appended nodes); extra nodes keep their fresh state.
-    pub fn install_state(&self, state: &EngineState<A::Partial>) {
-        for (idx, buf) in state.windows.iter().enumerate() {
+    /// Install a previously exported snapshot, moving its contents into
+    /// place. Slots the snapshot lacks (or that this engine has no window
+    /// for — non-writers, retired nodes) are left at their initial state.
+    /// The snapshot may be shorter than this engine's arena (an extension
+    /// appended nodes); extra nodes keep their fresh state.
+    pub fn install_state(&self, state: EngineState<A::Partial>) {
+        for (idx, buf) in state.windows.into_iter().enumerate() {
             if let (Some(buf), Some(slot)) = (buf, self.windows.get(idx).and_then(Option::as_ref)) {
-                *slot.lock() = buf.clone();
+                *slot.lock() = buf;
             }
         }
-        for (idx, pao) in state.paos.iter().enumerate() {
+        for (idx, pao) in state.paos.into_iter().enumerate() {
             if idx >= self.store.len() {
                 break;
             }
             if let Some(pao) = pao {
                 if !self.overlay.is_retired(OverlayId(idx as u32)) {
-                    self.store.with_mut(idx, |p| *p = pao.clone());
+                    self.store.with_mut(idx, |p| *p = pao);
                 }
             }
         }

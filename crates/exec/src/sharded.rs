@@ -1367,8 +1367,7 @@ impl<A: Aggregate> ShardedEngine<A> {
     /// state back in ([`ShardTransport::fetch_state`]) before exporting.
     fn resync_from_hosts(&self, core: &ShardedCore<A>) -> Result<(), TransportError> {
         for shard in 0..self.shard_count() {
-            let st = self.transport.fetch_state(shard)?;
-            core.install_state(&st);
+            core.install_state(self.transport.fetch_state(shard)?);
         }
         Ok(())
     }
@@ -1387,7 +1386,8 @@ impl<A: Aggregate> ShardedEngine<A> {
     /// epochs and live migrations serialize — both rewrite the map), take
     /// the epoch gate exclusively, drain, then
     ///
-    /// 1. export the old core's window + PAO state;
+    /// 1. take the old core's state: window buffers by move, PAOs by copy
+    ///    ([`EngineCore::take_state`]);
     /// 2. extend the node→shard map: each fresh node is assigned online by
     ///    its overlay-neighbor affinity ([`Partition::assign_online`]) —
     ///    no global re-partition;
@@ -1431,7 +1431,10 @@ impl<A: Aggregate> ShardedEngine<A> {
             new_n >= old_n,
             "overlay ids are append-only: the repaired overlay must extend the current one"
         );
-        let carried = old_core.export_state();
+        // The old core is replaced below: its window buffers move into the
+        // new core instead of being copied; PAOs are copied, since relaxed
+        // readers may still read the old store until the flip.
+        let carried = old_core.take_state();
         // Extend the map online: score each fresh node against the shards
         // of its already-assigned overlay neighbors (LDG-style streaming
         // assignment) instead of re-partitioning globally.
@@ -1461,7 +1464,7 @@ impl<A: Aggregate> ShardedEngine<A> {
         ));
         // Seed exactly like a registry rebuild: carried state, fresh-writer
         // backfill, then rematerialize the stale-PAO set writers-first.
-        new_core.install_state(&carried);
+        new_core.install_state(carried);
         let mut backfilled: FastSet<OverlayId> = FastSet::default();
         for (wid, buf) in backfill {
             if !overlay.is_retired(*wid) {

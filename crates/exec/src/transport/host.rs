@@ -150,7 +150,7 @@ impl<A: Aggregate + Clone> HostWorker<A> {
         agg: A,
         hooks: WireHooks<A>,
         plan: WirePlan,
-        state: Option<&EngineState<A::Partial>>,
+        state: Option<EngineState<A::Partial>>,
     ) -> Self {
         let partition = Partition {
             of: plan.map.iter().map(|&s| ShardId(s)).collect(),
@@ -427,7 +427,7 @@ impl<A: Aggregate + Clone> HostWorker<A> {
                     self.agg.clone(),
                     self.hooks,
                     *plan,
-                    Some(&state),
+                    Some(*state),
                 );
                 self.write(stream, &HostMsg::Ok { req_id })?;
                 Ok(true)

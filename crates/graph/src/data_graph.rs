@@ -6,7 +6,7 @@
 //! *in*-neighbors (`N(x) = {y | y → x}`, Fig 1) while traversals and
 //! incremental overlay maintenance need out-neighbors too.
 
-use eagr_util::FastSet;
+use eagr_util::{FastMap, FastSet};
 use std::fmt;
 
 /// Identifier of a node in the data graph.
@@ -243,6 +243,100 @@ impl DataGraph {
         }
         result
     }
+
+    /// Roll the graph back to the state `log` was opened on: every node
+    /// added since is dropped, every logged adjacency list restored (in its
+    /// original order) and every logged removal revived. Costs what the
+    /// logged run touched, not the graph size. The log stays valid, so the
+    /// same run can be replayed and rolled back again.
+    pub fn rollback(&mut self, log: &UndoLog) {
+        self.out.truncate(log.id_bound);
+        self.inc.truncate(log.id_bound);
+        self.alive.truncate(log.id_bound);
+        for (&v, list) in &log.out {
+            self.out[v as usize].clone_from(list);
+        }
+        for (&v, list) in &log.inc {
+            self.inc[v as usize].clone_from(list);
+        }
+        for &v in &log.removed {
+            self.alive[v.idx()] = true;
+        }
+        self.live_nodes = log.live_nodes;
+        self.edges = log.edges;
+    }
+}
+
+/// An undo log over a run of [`DataGraph`] mutations: the pre-run copy of
+/// every adjacency list the run touches, the nodes it removes, and the
+/// pre-run id bound (nodes the run adds are truncated away). The caller
+/// records each mutation *before* applying it —
+/// [`record_edge`](Self::record_edge) for an edge change,
+/// [`record_node_removal`](Self::record_node_removal) for a node removal;
+/// node additions need no record — and [`DataGraph::rollback`] restores the
+/// pre-run graph exactly. Replaying the same mutations from the pre-run
+/// state touches the same lists, so one log undoes every replay.
+#[derive(Clone, Debug)]
+pub struct UndoLog {
+    id_bound: usize,
+    live_nodes: usize,
+    edges: usize,
+    out: FastMap<u32, Vec<NodeId>>,
+    inc: FastMap<u32, Vec<NodeId>>,
+    removed: Vec<NodeId>,
+}
+
+impl UndoLog {
+    /// Open a log on `g`'s current state.
+    pub fn new(g: &DataGraph) -> Self {
+        Self {
+            id_bound: g.id_bound(),
+            live_nodes: g.live_nodes,
+            edges: g.edges,
+            out: FastMap::default(),
+            inc: FastMap::default(),
+            removed: Vec::new(),
+        }
+    }
+
+    fn keep_out(&mut self, g: &DataGraph, v: NodeId) {
+        if v.idx() < self.id_bound {
+            self.out
+                .entry(v.0)
+                .or_insert_with(|| g.out[v.idx()].clone());
+        }
+    }
+
+    fn keep_inc(&mut self, g: &DataGraph, v: NodeId) {
+        if v.idx() < self.id_bound {
+            self.inc
+                .entry(v.0)
+                .or_insert_with(|| g.inc[v.idx()].clone());
+        }
+    }
+
+    /// Record the lists an `add_edge(u, v)` or `remove_edge(u, v)` on `g`
+    /// may change. Both endpoints must be live.
+    pub fn record_edge(&mut self, g: &DataGraph, u: NodeId, v: NodeId) {
+        self.keep_out(g, u);
+        self.keep_inc(g, v);
+    }
+
+    /// Record the lists a `remove_node(v)` on `g` changes: `v`'s own, and
+    /// the opposite list of each of its neighbours. `v` must be live.
+    pub fn record_node_removal(&mut self, g: &DataGraph, v: NodeId) {
+        self.keep_out(g, v);
+        self.keep_inc(g, v);
+        for &w in &g.out[v.idx()] {
+            self.keep_inc(g, w);
+        }
+        for &u in &g.inc[v.idx()] {
+            self.keep_out(g, u);
+        }
+        if v.idx() < self.id_bound {
+            self.removed.push(v);
+        }
+    }
 }
 
 impl fmt::Debug for DataGraph {
@@ -375,6 +469,42 @@ mod tests {
         assert_eq!(na, vec![NodeId(2), NodeId(3), NodeId(4), NodeId(5)]);
         // g (node 6) writes to nobody: its out-degree is 0.
         assert_eq!(g.out_degree(NodeId(6)), 0);
+    }
+
+    #[test]
+    fn rollback_restores_adjacency_order() {
+        let mut g = DataGraph::from_edges(4, &[(0, 1), (2, 1), (3, 1), (1, 1), (1, 3)]);
+        let before: Vec<(Vec<NodeId>, Vec<NodeId>)> = (0..4)
+            .map(|v| {
+                let v = NodeId(v);
+                (g.out_neighbors(v).to_vec(), g.in_neighbors(v).to_vec())
+            })
+            .collect();
+        let mut log = UndoLog::new(&g);
+        log.record_edge(&g, NodeId(2), NodeId(1));
+        assert!(g.remove_edge(NodeId(2), NodeId(1)));
+        log.record_node_removal(&g, NodeId(1));
+        g.remove_node(NodeId(1));
+        let n = g.add_node();
+        log.record_edge(&g, NodeId(0), n);
+        g.add_edge(NodeId(0), n);
+        for _ in 0..2 {
+            g.rollback(&log);
+            assert_eq!(g.id_bound(), 4);
+            assert_eq!((g.node_count(), g.edge_count()), (4, 5));
+            for (v, (out, inc)) in before.iter().enumerate() {
+                let v = NodeId(v as u32);
+                assert_eq!(g.out_neighbors(v), &out[..]);
+                assert_eq!(g.in_neighbors(v), &inc[..]);
+            }
+            // Replaying the run from the restored state lands on the same
+            // post-run graph, and the same log undoes it again.
+            g.remove_edge(NodeId(2), NodeId(1));
+            g.remove_node(NodeId(1));
+            let n = g.add_node();
+            g.add_edge(NodeId(0), n);
+            assert_eq!(g.edge_count(), 1);
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub mod wire;
 
 pub use bipartite::BipartiteGraph;
 pub use csr::CsrSnapshot;
-pub use data_graph::{paper_example_graph, DataGraph, NodeId};
+pub use data_graph::{paper_example_graph, DataGraph, NodeId, UndoLog};
 pub use neighborhood::Neighborhood;
 pub use partition::{
     edge_cut_partition, hash_shard, refine_partition, refine_partition_live, AffinityGraph,

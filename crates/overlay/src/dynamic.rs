@@ -19,8 +19,15 @@
 //!
 //! The data graph is mutated *through* these methods so the before/after
 //! neighborhood diff is computed consistently.
+//!
+//! The indexes a repair consults ([`RepairIndex`]) can outlive one
+//! [`DynamicOverlay`]: a caller that applies mutations in runs splits them
+//! off with [`DynamicOverlay::into_parts`] and resumes with
+//! [`DynamicOverlay::resume`], so a run pays for the region it repairs,
+//! not for re-indexing the whole overlay. Orphaned partials are likewise
+//! collected by walking upstream from the edges a repair removed.
 
-use crate::iob::IobState;
+use crate::iob::{IobIndex, IobState};
 use crate::overlay::{Overlay, OverlayId, OverlayKind};
 use eagr_agg::{AggProps, Sign};
 use eagr_graph::{DataGraph, Neighborhood, NodeId};
@@ -49,6 +56,30 @@ impl Default for DynamicConfig {
     }
 }
 
+/// The side indexes a [`DynamicOverlay`] maintains next to its overlay:
+/// IOB's reverse index (writer → covering aggregation nodes), per-reader
+/// coverage, and the per-reader count of direct edges repairs added.
+/// Building one is O(overlay). Keeping it resident between repair runs —
+/// [`DynamicOverlay::into_parts`] then [`DynamicOverlay::resume`] — makes a
+/// run cost O(the region it repairs). An index is valid only for the
+/// overlay it was built over or last repaired with: any other change to
+/// that overlay means building a fresh one.
+pub struct RepairIndex {
+    iob: IobIndex,
+    /// Direct writer→reader edges accumulated by repairs, per reader.
+    direct_edges: FastMap<OverlayId, usize>,
+}
+
+impl RepairIndex {
+    /// Index an overlay from scratch.
+    pub fn build(overlay: &Overlay) -> Self {
+        Self {
+            iob: IobIndex::build(overlay),
+            direct_edges: FastMap::default(),
+        }
+    }
+}
+
 /// An overlay that tracks a changing data graph.
 pub struct DynamicOverlay {
     state: IobState,
@@ -57,6 +88,11 @@ pub struct DynamicOverlay {
     cfg: DynamicConfig,
     /// Direct writer→reader edges accumulated by repairs, per reader.
     direct_edges: FastMap<OverlayId, usize>,
+    /// Nodes retired since the last [`take_retired`](Self::take_retired).
+    retired: Vec<OverlayId>,
+    /// Nodes that lost an output edge since the last orphan collection —
+    /// where [`IobState::gc_orphans_seeded`] starts looking.
+    gc_seeds: Vec<OverlayId>,
     /// Pre-existing overlay nodes whose *input list* a repair rewired —
     /// their materialized PAOs are stale and the engine must rebuild them
     /// (and everything downstream) before serving reads. Fresh nodes are
@@ -70,19 +106,35 @@ pub struct DynamicOverlay {
 
 impl DynamicOverlay {
     /// Wrap an overlay (any construction algorithm) for dynamic
-    /// maintenance.
+    /// maintenance, indexing it from scratch.
     pub fn new(
         overlay: Overlay,
         neighborhood: Neighborhood,
         props: AggProps,
         cfg: DynamicConfig,
     ) -> Self {
+        let index = RepairIndex::build(&overlay);
+        Self::resume(overlay, index, neighborhood, props, cfg)
+    }
+
+    /// Wrap an overlay together with the [`RepairIndex`] last split off it
+    /// by [`into_parts`](Self::into_parts) (or built over it) — no
+    /// re-indexing.
+    pub fn resume(
+        overlay: Overlay,
+        index: RepairIndex,
+        neighborhood: Neighborhood,
+        props: AggProps,
+        cfg: DynamicConfig,
+    ) -> Self {
         Self {
-            state: IobState::from_overlay(overlay),
+            state: IobState::from_parts(overlay, index.iob),
             neighborhood,
             props,
             cfg,
-            direct_edges: FastMap::default(),
+            direct_edges: index.direct_edges,
+            retired: Vec::new(),
+            gc_seeds: Vec::new(),
             dirty: FastSet::default(),
         }
     }
@@ -95,6 +147,25 @@ impl DynamicOverlay {
     /// Consume self, returning the overlay.
     pub fn into_overlay(self) -> Overlay {
         self.state.overlay
+    }
+
+    /// Consume self, returning the overlay and the index to
+    /// [`resume`](Self::resume) it with.
+    pub fn into_parts(self) -> (Overlay, RepairIndex) {
+        let (overlay, iob) = self.state.into_parts();
+        let index = RepairIndex {
+            iob,
+            direct_edges: self.direct_edges,
+        };
+        (overlay, index)
+    }
+
+    /// Drain the ids retired since the last call, each once, in retirement
+    /// order: readers and writers of removed nodes, readers whose
+    /// neighborhood emptied, and partials left feeding nothing. May include
+    /// ids appended since the last call.
+    pub fn take_retired(&mut self) -> Vec<OverlayId> {
+        std::mem::take(&mut self.retired)
     }
 
     /// Pre-existing nodes whose inputs were rewired since the last
@@ -185,9 +256,7 @@ impl DynamicOverlay {
     /// (their coverage is purged via the reverse index).
     pub fn remove_node(&mut self, g: &mut DataGraph, u: NodeId) {
         if let Some(rid) = self.state.overlay.reader(u) {
-            self.state.drop_reader_cov(rid);
-            self.state.overlay.retire_node(rid);
-            self.direct_edges.remove(&rid);
+            self.retire_reader(rid);
         }
         if let Some(wid) = self.state.overlay.writer(u) {
             // Everything the writer fed loses an input: those partials (and
@@ -202,10 +271,38 @@ impl DynamicOverlay {
                 .collect();
             self.dirty.extend(fed);
             self.state.purge_writer_coverage(u.0);
-            self.state.overlay.retire_node(wid);
+            self.retire(wid);
         }
-        self.state.gc_orphans();
+        self.gc_orphans();
         g.remove_node(u);
+    }
+
+    /// Remove the overlay edge `from → to`; `from` may now be an orphan.
+    fn unlink(&mut self, from: OverlayId, to: OverlayId, sign: Sign) {
+        self.state.overlay.remove_edge(from, to, sign);
+        self.gc_seeds.push(from);
+    }
+
+    /// Retire `n`; each of its inputs loses an output and may now be an
+    /// orphan.
+    fn retire(&mut self, n: OverlayId) {
+        let ov = &self.state.overlay;
+        self.gc_seeds.extend(ov.inputs(n).iter().map(|&(f, _)| f));
+        self.state.overlay.retire_node(n);
+        self.retired.push(n);
+    }
+
+    fn retire_reader(&mut self, rid: OverlayId) {
+        self.state.drop_reader_cov(rid);
+        self.retire(rid);
+        self.direct_edges.remove(&rid);
+    }
+
+    /// Retire the partials the edges removed since the last call left
+    /// feeding nothing (seeded: only the touched region is walked).
+    fn gc_orphans(&mut self) {
+        let seeds = std::mem::take(&mut self.gc_seeds);
+        self.state.gc_orphans_seeded(seeds, &mut self.retired);
     }
 
     fn apply_diffs(
@@ -238,10 +335,8 @@ impl DynamicOverlay {
             };
             if a.is_empty() {
                 // Reader lost its entire neighborhood.
-                self.state.drop_reader_cov(rid);
-                self.state.overlay.retire_node(rid);
-                self.direct_edges.remove(&rid);
-                self.state.gc_orphans();
+                self.retire_reader(rid);
+                self.gc_orphans();
                 continue;
             }
             // The repair below rewires this pre-existing reader's inputs.
@@ -269,10 +364,7 @@ impl DynamicOverlay {
             } else {
                 let v = self.state.overlay.add_partial(&cover);
                 // Index the new aggregate for future reuse.
-                for &w in &targets {
-                    let _ = w;
-                }
-                self.index_partial(v);
+                self.state.index_partial(v);
                 self.state.overlay.add_edge(v, rid, Sign::Pos);
             }
         } else {
@@ -285,16 +377,6 @@ impl DynamicOverlay {
             if *count > self.cfg.direct_edge_threshold {
                 self.rebuild_reader(rid);
             }
-        }
-    }
-
-    fn index_partial(&mut self, v: OverlayId) {
-        // IobState::cover indexes nodes it creates; nodes created here (the
-        // Δ aggregate) must be indexed too. Delegate through a fresh cover
-        // of the node's own coverage — cheaper to expose a helper:
-        let cov: Vec<u32> = self.state.overlay.coverage(v).to_vec();
-        for w in cov {
-            self.state.index_writer(w, v);
         }
     }
 
@@ -364,7 +446,7 @@ impl DynamicOverlay {
                     // no longer flows through any positive path — handled by
                     // the generic re-cover below, so drop positives only.
                     if sign == Sign::Pos {
-                        self.state.overlay.remove_edge(n, rid, Sign::Pos);
+                        self.unlink(n, rid, Sign::Pos);
                         for h in hits {
                             still_needed.remove(&h);
                         }
@@ -391,7 +473,7 @@ impl DynamicOverlay {
                             .copied()
                             .filter(|w| !delta.contains(w))
                             .collect();
-                        self.state.overlay.remove_edge(n, rid, Sign::Pos);
+                        self.unlink(n, rid, Sign::Pos);
                         if !keep.is_empty() {
                             let cover = self.state.cover(&keep);
                             for piece in cover {
@@ -406,7 +488,7 @@ impl DynamicOverlay {
                 OverlayKind::Reader(_) => unreachable!("readers never feed nodes"),
             }
         }
-        self.state.gc_orphans();
+        self.gc_orphans();
     }
 
     /// Tear down and re-add a reader's inputs from its current neighborhood.
@@ -432,7 +514,7 @@ impl DynamicOverlay {
         self.dirty.insert(rid);
         let old: Vec<(OverlayId, Sign)> = self.state.overlay.inputs(rid).to_vec();
         for (f, s) in old {
-            self.state.overlay.remove_edge(f, rid, s);
+            self.unlink(f, rid, s);
         }
         let t32: FastSet<u32> = targets.iter().map(|w| w.0).collect();
         if !t32.is_empty() {
@@ -448,7 +530,7 @@ impl DynamicOverlay {
         } else {
             self.direct_edges.remove(&rid);
         }
-        self.state.gc_orphans();
+        self.gc_orphans();
     }
 }
 
@@ -607,6 +689,81 @@ mod tests {
         for t in fed {
             assert!(dirty.contains(&t), "downstream {t:?} must be dirty");
         }
+    }
+
+    /// Seeded orphan collection retires exactly what the full scan would:
+    /// after every mutation of a random repair sequence a full scan finds
+    /// nothing left to collect, and `take_retired` names exactly the ids
+    /// that became tombstones. Every 20 steps the overlay is split off and
+    /// resumed with its index, the way the facade keeps the index resident
+    /// between mutation runs.
+    #[test]
+    fn seeded_gc_matches_full_scan_over_random_repairs() {
+        use eagr_util::SplitMix64;
+        let mut rng = SplitMix64::new(0x5EED);
+        let mut g = DataGraph::with_nodes(40);
+        for _ in 0..160 {
+            let (u, v) = (NodeId(rng.index(40) as u32), NodeId(rng.index(40) as u32));
+            if u != v {
+                g.add_edge(u, v);
+            }
+        }
+        let nbh = Neighborhood::In;
+        let ag = BipartiteGraph::build(&g, &nbh, |_| true);
+        let (ov, _) = build_iob(&ag, &IobConfig::default());
+        let cfg = DynamicConfig {
+            direct_edge_threshold: 4,
+            ..Default::default()
+        };
+        let mut dynov = DynamicOverlay::new(ov, nbh.clone(), sum_props(), cfg);
+        for step in 0..300 {
+            let ov = dynov.overlay();
+            let was_retired: Vec<bool> = (0..ov.node_count() as u32)
+                .map(|i| ov.is_retired(OverlayId(i)))
+                .collect();
+            let bound = g.id_bound();
+            let u = NodeId(rng.index(bound) as u32);
+            let v = NodeId(rng.index(bound) as u32);
+            match rng.index(10) {
+                0 if g.contains(u) && g.node_count() > 10 => dynov.remove_node(&mut g, u),
+                1 => {
+                    let x = dynov.add_node(&mut g);
+                    if g.contains(u) {
+                        dynov.add_edge(&mut g, u, x);
+                    }
+                }
+                _ if u != v && g.contains(u) && g.contains(v) => {
+                    if g.has_edge(u, v) {
+                        dynov.remove_edge(&mut g, u, v);
+                    } else {
+                        dynov.add_edge(&mut g, u, v);
+                    }
+                }
+                _ => {}
+            }
+            let mut full = IobState::from_overlay(dynov.overlay().clone());
+            assert_eq!(
+                full.gc_orphans(),
+                0,
+                "step {step}: seeded GC left an orphan"
+            );
+            let ov = dynov.overlay();
+            let became: Vec<OverlayId> = (0..ov.node_count() as u32)
+                .map(OverlayId)
+                .filter(|&n| {
+                    ov.is_retired(n) && !was_retired.get(n.idx()).copied().unwrap_or(false)
+                })
+                .collect();
+            let mut got = dynov.take_retired();
+            got.sort_unstable();
+            assert_eq!(got, became, "step {step}: take_retired");
+            if step % 20 == 19 {
+                check(&dynov, &g, &nbh);
+                let (ov, index) = dynov.into_parts();
+                dynov = DynamicOverlay::resume(ov, index, nbh.clone(), sum_props(), cfg);
+            }
+        }
+        check(&dynov, &g, &nbh);
     }
 
     #[test]

@@ -66,24 +66,21 @@ pub struct IobState {
     reader_cov: FastMap<u32, Vec<u32>>,
 }
 
-impl IobState {
-    /// Start from a writer-only skeleton.
-    pub fn new(ag: &BipartiteGraph) -> Self {
-        Self {
-            overlay: Overlay::skeleton_from_bipartite(ag),
-            reverse: FastMap::default(),
-            reader_cov: FastMap::default(),
-        }
-    }
+/// [`IobState`]'s two side tables without the overlay, so a caller can keep
+/// them resident while the overlay itself is moved elsewhere.
+pub(crate) struct IobIndex {
+    reverse: FastMap<u32, Vec<OverlayId>>,
+    reader_cov: FastMap<u32, Vec<u32>>,
+}
 
-    /// Wrap an existing overlay (e.g. one built by VNM) so it can be
-    /// incrementally maintained; rebuilds the indexes from coverage. Reader
-    /// coverage is reconstructed as the net-positive writer set of the
-    /// reader's inputs (negative edges subtract).
-    pub fn from_overlay(overlay: Overlay) -> Self {
+impl IobIndex {
+    /// Build the indexes from an overlay's coverage. Reader coverage is
+    /// reconstructed as the net-positive writer set of the reader's inputs
+    /// (negative edges subtract).
+    pub(crate) fn build(overlay: &Overlay) -> Self {
         let mut reverse: FastMap<u32, Vec<OverlayId>> = FastMap::default();
         let mut reader_cov: FastMap<u32, Vec<u32>> = FastMap::default();
-        for n in overlay.ids().collect::<Vec<_>>() {
+        for n in overlay.ids() {
             match overlay.kind(n) {
                 OverlayKind::Partial => {
                     for &w in overlay.coverage(n) {
@@ -113,10 +110,48 @@ impl IobState {
             }
         }
         Self {
-            overlay,
             reverse,
             reader_cov,
         }
+    }
+}
+
+impl IobState {
+    /// Start from a writer-only skeleton.
+    pub fn new(ag: &BipartiteGraph) -> Self {
+        Self {
+            overlay: Overlay::skeleton_from_bipartite(ag),
+            reverse: FastMap::default(),
+            reader_cov: FastMap::default(),
+        }
+    }
+
+    /// Wrap an existing overlay (e.g. one built by VNM) so it can be
+    /// incrementally maintained; rebuilds the indexes from coverage. Reader
+    /// coverage is reconstructed as the net-positive writer set of the
+    /// reader's inputs (negative edges subtract).
+    pub fn from_overlay(overlay: Overlay) -> Self {
+        let index = IobIndex::build(&overlay);
+        Self::from_parts(overlay, index)
+    }
+
+    /// Reunite an overlay with the indexes last split off it by
+    /// [`into_parts`](Self::into_parts) (or built over it).
+    pub(crate) fn from_parts(overlay: Overlay, index: IobIndex) -> Self {
+        Self {
+            overlay,
+            reverse: index.reverse,
+            reader_cov: index.reader_cov,
+        }
+    }
+
+    /// Split into the overlay and its indexes.
+    pub(crate) fn into_parts(self) -> (Overlay, IobIndex) {
+        let index = IobIndex {
+            reverse: self.reverse,
+            reader_cov: self.reader_cov,
+        };
+        (self.overlay, index)
     }
 
     /// Coverage of any aggregation node (partials from the overlay, readers
@@ -132,7 +167,9 @@ impl IobState {
         }
     }
 
-    fn index_partial(&mut self, v: OverlayId) {
+    /// Register a freshly created partial `v` in the reverse index under
+    /// every writer it covers.
+    pub(crate) fn index_partial(&mut self, v: OverlayId) {
         for &w in self.overlay.coverage(v) {
             self.reverse.entry(w).or_default().push(v);
         }
@@ -174,15 +211,6 @@ impl IobState {
         }
     }
 
-    /// Register `n` as covering writer `w` in the reverse index (used by
-    /// dynamic maintenance for aggregates it creates directly).
-    pub(crate) fn index_writer(&mut self, w: u32, n: OverlayId) {
-        let e = self.reverse.entry(w).or_default();
-        if !e.contains(&n) {
-            e.push(n);
-        }
-    }
-
     /// Candidate partial nodes overlapping the target writer set, with
     /// overlap counts.
     fn overlap_counts(&self, targets: &FastSet<u32>) -> FastMap<OverlayId, u32> {
@@ -202,11 +230,13 @@ impl IobState {
     /// Decompose node `n` into existing sub-nodes whose coverage lies fully
     /// inside `targets` ("pieces"); descends through partial inputs whose
     /// coverage only partially overlaps. Writers at the leaves guarantee
-    /// termination with exactly `I(n) ∩ targets` covered.
+    /// termination with exactly `I(n) ∩ targets` covered. Only positive
+    /// inputs are pieces: a negative edge (a repair's cancellation)
+    /// subtracts a writer another input already contributes.
     fn pieces(&self, n: OverlayId, targets: &FastSet<u32>, out: &mut Vec<OverlayId>) {
-        for &(inp, _sign) in self.overlay.inputs(n) {
+        for &(inp, sign) in self.overlay.inputs(n) {
             let cov = self.overlay.coverage(inp);
-            if cov.is_empty() {
+            if sign.is_negative() || cov.is_empty() {
                 continue;
             }
             if cov.iter().all(|w| targets.contains(w)) {
@@ -287,8 +317,13 @@ impl IobState {
                     }
                     continue;
                 }
-                let direct: FastSet<u32> =
-                    self.overlay.inputs(n).iter().map(|&(f, _)| f.0).collect();
+                let direct: FastSet<u32> = self
+                    .overlay
+                    .inputs(n)
+                    .iter()
+                    .filter(|&&(_, s)| !s.is_negative())
+                    .map(|&(f, _)| f.0)
+                    .collect();
                 let all_direct = ps.iter().all(|p| direct.contains(&p.0));
                 if ps.len() >= 2 && all_direct {
                     // Carve v' = I(n) ∩ remaining out of n's structure and
@@ -401,6 +436,33 @@ impl IobState {
         retired
     }
 
+    /// [`gc_orphans`](Self::gc_orphans) over the region a repair touched
+    /// instead of every id: `seeds` are the nodes that just lost an output
+    /// edge. Each one that is now an orphaned partial is retired and its
+    /// inputs are checked in turn. On an overlay that held no orphans
+    /// before the edges were removed this retires exactly what the full
+    /// scan would. Retired ids are appended to `retired`; returns how many.
+    pub(crate) fn gc_orphans_seeded(
+        &mut self,
+        mut seeds: Vec<OverlayId>,
+        retired: &mut Vec<OverlayId>,
+    ) -> usize {
+        let before = retired.len();
+        while let Some(n) = seeds.pop() {
+            if self.overlay.is_retired(n)
+                || !matches!(self.overlay.kind(n), OverlayKind::Partial)
+                || !self.overlay.outputs(n).is_empty()
+            {
+                continue;
+            }
+            seeds.extend(self.overlay.inputs(n).iter().map(|&(f, _)| f));
+            self.remove_from_reverse(n);
+            self.overlay.retire_node(n);
+            retired.push(n);
+        }
+        retired.len() - before
+    }
+
     fn remove_from_reverse(&mut self, n: OverlayId) {
         let cov: Vec<u32> = self.overlay.coverage(n).to_vec();
         for w in cov {
@@ -485,6 +547,7 @@ mod tests {
     use super::*;
     use crate::validate::validate_vs_bipartite;
     use eagr_agg::AggProps;
+    use eagr_agg::Sign;
     use eagr_graph::{paper_example_graph, Neighborhood};
 
     fn paper_ag() -> BipartiteGraph {
@@ -587,6 +650,47 @@ mod tests {
         let _p2 = st.overlay.add_partial(&[p1]);
         // Neither feeds a reader: both must be collected (p2 first, then p1).
         assert_eq!(st.gc_orphans(), 2);
+        assert_eq!(st.overlay.partial_count(), 0);
+    }
+
+    #[test]
+    fn carving_a_reader_skips_its_negative_inputs() {
+        // Reader r = p{a,b} + c + d − b (a repair cancelled b): net {a,c,d}.
+        let mut ov = Overlay::default();
+        let w: Vec<OverlayId> = (0..4).map(|i| ov.add_writer(NodeId(i))).collect();
+        let p = ov.add_partial(&w[..2]);
+        let r = ov.add_reader(NodeId(8));
+        for (f, s) in [
+            (p, Sign::Pos),
+            (w[2], Sign::Pos),
+            (w[3], Sign::Pos),
+            (w[1], Sign::Neg),
+        ] {
+            ov.add_edge(f, r, s);
+        }
+        let mut st = IobState::from_overlay(ov);
+        // A reader over {a,b,c,d} overlaps r best and carves it; the
+        // negative edge must stay out of the carved partial.
+        let all: Vec<NodeId> = (0..4).map(NodeId).collect();
+        let r2 = st.add_reader(NodeId(9), &all);
+        let expect = |rid: OverlayId| -> FastMap<u32, i64> {
+            let ws: &[u32] = if rid == r2 { &[0, 1, 2, 3] } else { &[0, 2, 3] };
+            ws.iter().map(|&w| (w, 1)).collect()
+        };
+        crate::validate::validate_against(&st.overlay, sum_props(), expect).unwrap();
+    }
+
+    #[test]
+    fn seeded_gc_cascades_from_its_seed() {
+        let ag = paper_ag();
+        let mut st = IobState::new(&ag);
+        let w: Vec<OverlayId> = st.overlay.writers().map(|(id, _)| id).collect();
+        let p1 = st.overlay.add_partial(&w[..2]);
+        let p2 = st.overlay.add_partial(&[p1]);
+        let mut retired = Vec::new();
+        // Writers are never collected; p2 goes first, then p1 upstream.
+        assert_eq!(st.gc_orphans_seeded(vec![w[0], p2], &mut retired), 2);
+        assert_eq!(retired, vec![p2, p1]);
         assert_eq!(st.overlay.partial_count(), 0);
     }
 

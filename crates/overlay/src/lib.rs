@@ -31,7 +31,7 @@ pub mod shingle;
 pub mod validate;
 pub mod vnm;
 
-pub use dynamic::{DynamicConfig, DynamicOverlay};
+pub use dynamic::{DynamicConfig, DynamicOverlay, RepairIndex};
 pub use extend::{extend_with_readers, used_subtree, ExtendOutcome, RefCounts};
 pub use iob::{build_iob, IobConfig, IobState};
 pub use metrics::IterationStats;

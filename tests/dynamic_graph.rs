@@ -5,13 +5,13 @@
 use eagr::agg::{AggProps, Sum, WindowSpec};
 use eagr::exec::EngineCore;
 use eagr::flow::Decisions;
-use eagr::gen::social_graph;
+use eagr::gen::{churn_stream, social_graph, ChurnConfig, Event};
 use eagr::graph::{BipartiteGraph, DataGraph, Neighborhood, NodeId};
 use eagr::overlay::{
     build_iob, build_vnm, validate_against, DynamicConfig, DynamicOverlay, IobConfig, VnmConfig,
 };
 use eagr::util::{FastMap, SplitMix64};
-use eagr::NaiveOracle;
+use eagr::{EagrSystem, EgoQuery, ExecutionMode, NaiveOracle, OverlayAlgorithm, TopoReport};
 use std::sync::Arc;
 
 fn sum_props() -> AggProps {
@@ -269,4 +269,157 @@ fn repeated_maintenance_keeps_coverage_index_sound() {
     }
     let _ = FastMap::<u32, u32>::default();
     validate_now(&dynov, &g, &nbh);
+}
+
+// ---------- the facade's topology path: resident repair index ----------
+
+/// Every answer `sys` gives at this ingest boundary, per query, against the
+/// oracles over the mirrored graph. The primary query (even readers) must
+/// answer every even node with a neighborhood.
+fn check_boundary(
+    sys: &EagrSystem<Sum>,
+    second: &eagr::QueryHandle<Sum>,
+    odd: Option<&eagr::QueryHandle<Sum>>,
+    g: &DataGraph,
+    tuple1: &NaiveOracle<Sum>,
+    tuple3: &NaiveOracle<Sum>,
+    batch: usize,
+) {
+    let nodes: Vec<NodeId> = (0..g.id_bound() as u32).map(NodeId).collect();
+    let primary = sys.read_batch(&nodes);
+    let from_second = second.read_batch(&nodes);
+    let from_odd = odd.map(|h| h.read_batch(&nodes));
+    for (i, &v) in nodes.iter().enumerate() {
+        if v.0 % 2 == 0 && g.contains(v) && !Neighborhood::In.select(g, v).is_empty() {
+            assert!(primary[i].is_some(), "batch {batch}: {v:?} lost its reader");
+        }
+        if let Some(got) = primary[i] {
+            assert_eq!(got, tuple1.read(g, v), "batch {batch}: primary at {v:?}");
+        }
+        if let Some(got) = from_second[i] {
+            assert_eq!(got, tuple3.read(g, v), "batch {batch}: Tuple(3) at {v:?}");
+        }
+        if let Some(got) = from_odd.as_ref().and_then(|o| o[i]) {
+            assert_eq!(got, tuple1.read(g, v), "batch {batch}: odd query at {v:?}");
+        }
+    }
+}
+
+/// Drive a ≥30-run churn stream through a system serving two strata — a
+/// primary `Tuple(1)` query over even readers and a `Tuple(3)` query over
+/// all of them — checking every answer against the oracle at every
+/// `ingest` boundary. With `attach_detach`, a `Tuple(1)` query over the odd
+/// readers joins the primary stratum and leaves again between mutation
+/// runs. Returns the cumulative topology report and the number of times a
+/// mutation run met a stratum whose overlay an attach/detach had rewritten
+/// since its last run.
+fn two_strata_churn(mode: ExecutionMode, attach_detach: bool) -> (TopoReport, u64) {
+    let mut g = social_graph(60, 3, 17);
+    let stream = churn_stream(
+        &g,
+        &ChurnConfig {
+            epochs: 16,
+            epoch_events: 120,
+            churn_fraction: 0.02,
+            node_churn: 0.2,
+            seed: 0xD1FF,
+            ..Default::default()
+        },
+    );
+    let sys = EagrSystem::builder(EgoQuery::new(Sum).filter(|v| v.0 % 2 == 0))
+        .overlay(OverlayAlgorithm::Vnma)
+        .execution(mode)
+        .build(&g);
+    let second = sys.attach(EgoQuery::new(Sum).window(WindowSpec::Tuple(3)));
+    assert!(!second.attach_report().unwrap().shared_stratum);
+    let mut tuple1 = NaiveOracle::new(Sum, WindowSpec::Tuple(1), Neighborhood::In);
+    let mut tuple3 = NaiveOracle::new(Sum, WindowSpec::Tuple(3), Neighborhood::In);
+    let mut odd = None;
+    let (mut stale, mut rebuilds) = (false, 0);
+    let mut batch = 0;
+    for epoch in &stream {
+        // Split each epoch in halves, so that mutation runs land between
+        // attach/detach calls and reads.
+        for half in epoch.chunks(epoch.len().div_ceil(2)) {
+            let base = sys.stream_position();
+            sys.ingest(half);
+            if stale && half.iter().any(Event::is_topo) {
+                (stale, rebuilds) = (false, rebuilds + 1);
+            }
+            for (i, &e) in half.iter().enumerate() {
+                match e {
+                    Event::Write { node, value } => {
+                        tuple1.write(node, value, base + i as u64);
+                        tuple3.write(node, value, base + i as u64);
+                    }
+                    Event::AddEdge { from, to } => {
+                        g.add_edge(from, to);
+                    }
+                    Event::RemoveEdge { from, to } => {
+                        g.remove_edge(from, to);
+                    }
+                    Event::AddNode { node } => {
+                        while g.id_bound() <= node.idx() {
+                            g.add_node();
+                        }
+                    }
+                    Event::RemoveNode { node } => g.remove_node(node),
+                    Event::Read { .. } => {}
+                }
+            }
+            check_boundary(&sys, &second, odd.as_ref(), &g, &tuple1, &tuple3, batch);
+            if attach_detach {
+                match (batch % 4, odd.take()) {
+                    (1, None) => {
+                        let h = sys.attach(EgoQuery::new(Sum).filter(|v| v.0 % 2 == 1));
+                        assert!(h.attach_report().unwrap().shared_stratum);
+                        stale = true;
+                        odd = Some(h);
+                    }
+                    (3, Some(h)) => {
+                        let report = sys.detach(h);
+                        assert!(!report.stratum_dropped);
+                        stale |= report.retired_paos > 0;
+                    }
+                    (_, h) => odd = h,
+                }
+                check_boundary(&sys, &second, odd.as_ref(), &g, &tuple1, &tuple3, batch);
+            }
+            batch += 1;
+        }
+    }
+    let topo = sys.registry_stats().topo;
+    assert!(topo.epochs >= 30, "only {} mutation runs", topo.epochs);
+    assert_eq!(topo.skipped, 0, "the churn stream is valid in order");
+    (topo, rebuilds)
+}
+
+#[test]
+fn resident_repair_index_is_built_once_per_stratum() {
+    for mode in [
+        ExecutionMode::SingleThreaded,
+        ExecutionMode::Sharded { shards: 2 },
+    ] {
+        let (topo, _) = two_strata_churn(mode, false);
+        assert_eq!(topo.index_builds, 2, "{mode:?}: one build per stratum");
+    }
+}
+
+#[test]
+fn churn_with_attach_detach_over_two_strata_matches_oracle() {
+    let mut reports = Vec::new();
+    for mode in [
+        ExecutionMode::SingleThreaded,
+        ExecutionMode::Sharded { shards: 2 },
+    ] {
+        let (topo, rebuilds) = two_strata_churn(mode, true);
+        assert!(rebuilds >= 8, "{mode:?}: only {rebuilds} invalidated runs");
+        assert_eq!(
+            topo.index_builds,
+            2 + rebuilds,
+            "{mode:?}: one build per stratum plus one per invalidation"
+        );
+        reports.push(topo);
+    }
+    assert_eq!(reports[0], reports[1], "modes repaired alike");
 }

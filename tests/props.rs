@@ -560,6 +560,61 @@ proptest! {
     }
 
     #[test]
+    fn undo_log_rollback_restores_the_graph(
+        seed in 0u64..100,
+        ops in proptest::collection::vec((0u8..4, any::<u32>(), any::<u32>()), 1..60),
+    ) {
+        // Mutate under an undo log, roll back: the graph is the original
+        // one, adjacency order included. Replaying the same mutations lands
+        // on the same mutated graph, and the same log undoes that too.
+        use eagr::graph::UndoLog;
+        fn apply(g: &mut DataGraph, ops: &[(u8, u32, u32)], log: &mut UndoLog) {
+            for &(pick, a, b) in ops {
+                let bound = g.id_bound() as u32;
+                let (u, v) = (NodeId(a % bound), NodeId(b % bound));
+                match pick {
+                    0 if g.contains(u) && g.contains(v) => {
+                        log.record_edge(g, u, v);
+                        g.add_edge(u, v);
+                    }
+                    1 if g.contains(u) && g.contains(v) => {
+                        log.record_edge(g, u, v);
+                        g.remove_edge(u, v);
+                    }
+                    2 => {
+                        g.add_node();
+                    }
+                    3 if g.contains(u) => {
+                        log.record_node_removal(g, u);
+                        g.remove_node(u);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        type Adjacency = Vec<(bool, Vec<NodeId>, Vec<NodeId>)>;
+        fn snapshot(g: &DataGraph) -> (usize, usize, usize, Adjacency) {
+            let adj = (0..g.id_bound() as u32)
+                .map(NodeId)
+                .map(|v| (g.contains(v), g.out_neighbors(v).to_vec(), g.in_neighbors(v).to_vec()))
+                .collect();
+            (g.id_bound(), g.node_count(), g.edge_count(), adj)
+        }
+        let mut g = eagr::gen::social_graph(30, 3, seed);
+        let before = snapshot(&g);
+        let mut log = UndoLog::new(&g);
+        apply(&mut g, &ops, &mut log);
+        let after = snapshot(&g);
+        g.rollback(&log);
+        prop_assert_eq!(snapshot(&g), before.clone());
+        let mut replay_log = UndoLog::new(&g);
+        apply(&mut g, &ops, &mut replay_log);
+        prop_assert_eq!(snapshot(&g), after);
+        g.rollback(&log);
+        prop_assert_eq!(snapshot(&g), before);
+    }
+
+    #[test]
     fn churn_during_concurrent_ingest_matches_reference(
         seed in 0u64..40,
         shards in 2usize..5,

@@ -6,9 +6,10 @@
 //!
 //! The process-transport tests resolve the `eagr-shard-host` binary
 //! relative to the test executable (`target/<profile>/deps/..` →
-//! `target/<profile>/eagr-shard-host`), which a workspace build produces;
-//! `cargo build -p eagr-shard-host` or `EAGR_SHARD_HOST_BIN` covers
-//! narrower invocations.
+//! `target/<profile>/eagr-shard-host`) and run `cargo build -p
+//! eagr-shard-host` once per test process first, so the binary always
+//! matches the sources; set `EAGR_SHARD_HOST_BIN` to use a given binary
+//! instead.
 
 use eagr::agg::{Aggregate, DeltaOp, WindowBuffer};
 use eagr::exec::transport::codec::{
@@ -219,12 +220,15 @@ proptest! {
 /// `cargo test` compiles the `eagr-shard-host` bin target only into
 /// `target/<profile>/deps/<hash>`, never the unhashed path
 /// [`host_binary_path`] resolves — so a fresh checkout's tier-1 run would
-/// not find it. Build it on demand, once per test process, with the same
-/// profile this test executable was built under.
+/// not find it, and a binary left there by an older build would answer for
+/// a host whose wire layout it no longer speaks. So build it, once per test
+/// process, with the same profile this test executable was built under —
+/// an up-to-date binary makes that a no-op. An explicit
+/// `EAGR_SHARD_HOST_BIN` is used as given.
 fn require_host_binary() {
     static BUILD: std::sync::Once = std::sync::Once::new();
     BUILD.call_once(|| {
-        if host_binary_path().is_ok() {
+        if std::env::var_os("EAGR_SHARD_HOST_BIN").is_some() {
             return;
         }
         let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
