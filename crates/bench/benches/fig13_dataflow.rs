@@ -10,7 +10,7 @@
 //!   count).
 
 use eagr::agg::{Aggregate, CostFn, CostModel, Max, Sum, TopK, WindowSpec};
-use eagr::exec::{throughput, EngineCore, LatencyRecorder, ParallelConfig, ParallelEngine};
+use eagr::exec::{throughput, EngineCore, ParallelConfig, ParallelEngine};
 use eagr::flow::{plan, DecisionAlgorithm, Plan, PlannerConfig, Rates};
 use eagr::gen::{generate_events, shifting_trace, Dataset, Event, TraceConfig, WorkloadConfig};
 use eagr::graph::{BipartiteGraph, DataGraph, Neighborhood};
@@ -220,13 +220,15 @@ fn fig13c() {
         let p = make_plan(&ov, &rates, &cost, alg);
         let core = engine(TopK::new(10), &p);
         run_events(&core, &warm, 0);
-        let rec = LatencyRecorder::new();
+        let mut samples_ms = Vec::new();
         for e in &reads {
             if let Event::Read { node } = *e {
-                rec.time(|| std::hint::black_box(core.read(node)));
+                let t0 = Instant::now();
+                std::hint::black_box(core.read(node));
+                samples_ms.push(t0.elapsed().as_secs_f64() * 1e3);
             }
         }
-        let s = rec.summary();
+        let s = eagr::util::LatencySummary::from_samples(&mut samples_ms);
         t.row(&[
             &label,
             &format!("{:.3}", s.worst),

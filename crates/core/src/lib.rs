@@ -33,7 +33,7 @@
 //! | [`agg`] | aggregate API (PAOs), built-ins, windows, cost model | §2.2.3, §4.2 |
 //! | [`overlay`] | overlay structure, FP-tree mining, VNM/VNM_A/VNM_N/VNM_D, IOB, dynamic maintenance | §2.2.1, §3 |
 //! | [`flow`] | push/pull frequencies, max-flow decisions, pruning, greedy, splitting, adaptation | §4 |
-//! | [`exec`] | single-threaded, two-pool, and sharded engines; runtime adaptation; metrics | §2.2.2 |
+//! | [`exec`] | single-threaded, two-pool, and sharded engines; runtime adaptation; throughput | §2.2.2 |
 //! | [`gen`] | synthetic graphs, Zipfian workloads, event batches, shifting traces | §5.1 |
 
 #![forbid(unsafe_code)]
@@ -72,8 +72,7 @@ pub mod prelude {
         Aggregate, Avg, CostModel, Count, Distinct, Max, Min, Sum, TopK, WindowSpec,
     };
     pub use eagr_exec::{
-        throughput, LatencyRecorder, MigrationReport, ParallelConfig, RebalancePolicy,
-        ShardedConfig,
+        throughput, MigrationReport, ParallelConfig, RebalancePolicy, ShardedConfig,
     };
     pub use eagr_flow::{DecisionAlgorithm, Rates};
     pub use eagr_gen::{batch_events, EventBatch};

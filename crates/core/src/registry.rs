@@ -19,10 +19,10 @@
 //! stream progresses, same as any newly deployed query would).
 
 use eagr_agg::{Aggregate, WindowBuffer, WindowSpec};
-use eagr_exec::{EngineCore, EngineState, ParallelEngine, ShardedEngine, TransportError};
+use eagr_exec::{EngineCore, EngineState, ShardedEngine, TransportError};
 use eagr_flow::Decisions;
 use eagr_graph::{Neighborhood, NodeId};
-use eagr_overlay::{Overlay, OverlayId, OverlayKind, RefCounts, RepairIndex};
+use eagr_overlay::{Overlay, OverlayId, RefCounts, RepairIndex};
 use eagr_util::{FastMap, FastSet};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -270,31 +270,15 @@ pub(crate) fn transport_ok<T>(r: Result<T, TransportError>) -> T {
 pub(crate) enum Runtime<A: Aggregate> {
     /// Synchronous execution on the shared core.
     Local(Arc<EngineCore<A>>),
-    /// Shared core + resident two-pool engine for batch ingestion.
-    TwoPool {
-        core: Arc<EngineCore<A>>,
-        engine: ParallelEngine<A>,
-    },
     /// Shard-owned runtime (PAOs live in shard slabs inside the engine).
     Sharded(Arc<ShardedEngine<A>>),
 }
 
 impl<A: Aggregate> Runtime<A> {
-    /// Wait until all in-flight asynchronous work is applied (no-op for
-    /// the synchronous local runtime). Attach/detach quiesce before
-    /// snapshotting state.
-    pub(crate) fn quiesce(&self) {
-        match self {
-            Runtime::Local(_) => {}
-            Runtime::TwoPool { engine, .. } => engine.drain(),
-            Runtime::Sharded(eng) => transport_ok(eng.drain()),
-        }
-    }
-
     /// Epoch-consistent point read (shard-executed in sharded mode).
     pub(crate) fn read(&self, v: NodeId) -> Option<A::Output> {
         match self {
-            Runtime::Local(core) | Runtime::TwoPool { core, .. } => core.read(v),
+            Runtime::Local(core) => core.read(v),
             Runtime::Sharded(eng) => transport_ok(eng.read_service(v)),
         }
     }
@@ -303,24 +287,21 @@ impl<A: Aggregate> Runtime<A> {
     /// in sharded mode).
     pub(crate) fn read_batch(&self, nodes: &[NodeId]) -> Vec<Option<A::Output>> {
         match self {
-            Runtime::Local(core) | Runtime::TwoPool { core, .. } => {
-                nodes.iter().map(|&v| core.read(v)).collect()
-            }
+            Runtime::Local(core) => nodes.iter().map(|&v| core.read(v)).collect(),
             Runtime::Sharded(eng) => transport_ok(eng.read_batch(nodes)),
         }
     }
 
-    /// Snapshot window + PAO state for a rebuild (quiesce first).
+    /// Snapshot window + PAO state for a rebuild.
     pub(crate) fn export_state(&self) -> EngineState<A::Partial> {
         match self {
-            Runtime::Local(core) | Runtime::TwoPool { core, .. } => core.export_state(),
-            Runtime::Sharded(eng) => eng.core().export_state(),
+            Runtime::Local(core) => core.export_state(),
+            Runtime::Sharded(eng) => transport_ok(eng.export_state()),
         }
     }
 
-    /// Seed a freshly built runtime: install carried state, backfill fresh
-    /// writers, then materialize fresh/upgraded push nodes in topological
-    /// order (writers before the partials and readers they feed).
+    /// Seed a freshly built runtime ([`EngineCore::seed`]); the sharded
+    /// engine also publishes the seeded state to its shard peers.
     pub(crate) fn seed(
         &self,
         carried: Option<EngineState<A::Partial>>,
@@ -328,42 +309,10 @@ impl<A: Aggregate> Runtime<A> {
         fresh_push: &FastSet<OverlayId>,
     ) {
         match self {
-            Runtime::Local(core) | Runtime::TwoPool { core, .. } => {
-                seed_core(core, carried, backfill, fresh_push)
+            Runtime::Local(core) => {
+                core.seed(carried, backfill, fresh_push);
             }
-            Runtime::Sharded(eng) => seed_core(&eng.core(), carried, backfill, fresh_push),
-        }
-    }
-}
-
-fn seed_core<A: Aggregate, S: eagr_exec::PaoStore<A::Partial>>(
-    core: &EngineCore<A, S>,
-    carried: Option<EngineState<A::Partial>>,
-    backfill: &[(OverlayId, WindowBuffer)],
-    fresh_push: &FastSet<OverlayId>,
-) {
-    if let Some(state) = carried {
-        core.install_state(state);
-    }
-    for (wid, buf) in backfill {
-        core.install_window(*wid, buf);
-    }
-    if fresh_push.is_empty() && backfill.is_empty() {
-        return;
-    }
-    let overlay = core.overlay();
-    for n in overlay.topo_order() {
-        if overlay.is_retired(n) || !core.is_push(n) {
-            continue;
-        }
-        let backfilled = backfill.iter().any(|(wid, _)| *wid == n);
-        if !fresh_push.contains(&n) && !backfilled {
-            continue;
-        }
-        if matches!(overlay.kind(n), OverlayKind::Writer(_)) {
-            core.rebuild_writer_pao(n);
-        } else {
-            core.materialize(n);
+            Runtime::Sharded(eng) => transport_ok(eng.seed(carried, backfill, fresh_push)),
         }
     }
 }

@@ -12,8 +12,8 @@ use crate::registry::{
 };
 use eagr_agg::{Aggregate, CostModel, WindowBuffer, WindowSpec};
 use eagr_exec::{
-    AdaptiveEngine, EngineCore, MigrationReport, ParallelConfig, ParallelEngine, RebalancePolicy,
-    ShardedConfig, ShardedEngine, TransportKind,
+    AdaptiveEngine, EngineCore, MigrationReport, RebalancePolicy, ShardedConfig, ShardedEngine,
+    TransportKind,
 };
 use eagr_flow::{
     extend_decisions, plan, topo_plan_delta, DecisionAlgorithm, Decisions, Plan, PlannerConfig,
@@ -37,10 +37,6 @@ pub enum ExecutionMode {
     /// The §2.2.2 uni-thread baseline: every operation runs synchronously
     /// on the calling thread.
     SingleThreaded,
-    /// The paper's two-pool model: batch ingestion fans writes out as
-    /// PAO-granularity micro-tasks over a shared queue (point `write`s and
-    /// `read`s stay synchronous on the shared core).
-    TwoPool(ParallelConfig),
     /// The shard-owned runtime: overlay nodes are partitioned across
     /// worker-owned shards, writes are ingested in batches, cross-shard
     /// propagation travels as batched deltas drained in epochs, and reads
@@ -181,7 +177,7 @@ impl<A: Aggregate + Clone> SystemBuilder<A> {
 
     /// Live shard-rebalancing policy for [`ExecutionMode::Sharded`]
     /// (default: manual-only — [`EagrSystem::rebalance`] works, nothing
-    /// fires automatically). Ignored by the local modes.
+    /// fires automatically). Ignored in single-threaded mode.
     pub fn rebalance(mut self, policy: RebalancePolicy) -> Self {
         self.config.rebalance = policy;
         self
@@ -193,7 +189,7 @@ impl<A: Aggregate + Clone> SystemBuilder<A> {
     /// aggregate to provide [`eagr_agg::Aggregate::wire_hooks`]; building
     /// the system panics (with the transport's launch error) when the host
     /// binary cannot be found or an aggregate cannot cross the wire.
-    /// Ignored by the local modes.
+    /// Ignored in single-threaded mode.
     pub fn transport(mut self, transport: TransportKind) -> Self {
         self.config.transport = transport;
         self
@@ -380,16 +376,6 @@ where
             );
             Runtime::Local(Arc::new(core))
         }
-        ExecutionMode::TwoPool(tp) => {
-            let core = Arc::new(EngineCore::new(
-                query.aggregate.clone(),
-                Arc::new(p.overlay.clone()),
-                &p.decisions,
-                query.window,
-            ));
-            let engine = ParallelEngine::new(Arc::clone(&core), tp);
-            Runtime::TwoPool { core, engine }
-        }
         ExecutionMode::Sharded { shards } => {
             let scfg = ShardedConfig::builder()
                 .shards(shards.max(1))
@@ -447,11 +433,6 @@ where
             decisions,
             window,
         ))),
-        ExecutionMode::TwoPool(tp) => {
-            let core = Arc::new(EngineCore::new(agg.clone(), overlay, decisions, window));
-            let engine = ParallelEngine::new(Arc::clone(&core), tp);
-            Runtime::TwoPool { core, engine }
-        }
         ExecutionMode::Sharded { shards } => {
             let scfg = ShardedConfig::builder()
                 .shards(shards.max(1))
@@ -681,8 +662,6 @@ impl<A: Aggregate> EagrSystem<A> {
         let (si, mut report) = match reg.find_compatible(query.window, &query.neighborhood) {
             Some(si) => {
                 let st = reg.strata[si].as_mut().expect("compatible stratum is live");
-                // Quiesce so the exported state is epoch-consistent.
-                st.runtime.quiesce();
                 let outcome = extend_with_readers(&mut st.overlay, &wants);
                 st.repair = None;
                 let mut fresh: Vec<OverlayId> = outcome
@@ -865,7 +844,6 @@ impl<A: Aggregate> EagrSystem<A> {
         // Safe to retire: every remaining query holds a reference on every
         // node of its own used subtree, so a zero-count node is upstream
         // of no surviving reader.
-        st.runtime.quiesce();
         let carried = st.runtime.export_state();
         for &n in &zeroed {
             st.overlay.retire_node(n);
@@ -896,7 +874,7 @@ impl<A: Aggregate> EagrSystem<A> {
     /// Apply a content update (a *write* on `v`) — fans out to **every**
     /// registered query's stratum.
     ///
-    /// Synchronous in the local modes; in [`ExecutionMode::Sharded`] the
+    /// Synchronous in single-threaded mode; in [`ExecutionMode::Sharded`] the
     /// write is routed to its owning shard and drained (one single-event
     /// epoch) — use [`ingest`](Self::ingest) / [`write_batch`](Self::write_batch)
     /// for throughput. Returns PAO updates performed where known (0 in
@@ -911,7 +889,7 @@ impl<A: Aggregate> EagrSystem<A> {
         let mut applied = 0;
         for st in reg.live() {
             match &st.runtime {
-                Runtime::Local(core) | Runtime::TwoPool { core, .. } => {
+                Runtime::Local(core) => {
                     applied += core.write(v, value, ts);
                 }
                 Runtime::Sharded(eng) => {
@@ -926,7 +904,7 @@ impl<A: Aggregate> EagrSystem<A> {
     /// Evaluate the primary query at `v` (a *read* on `v`). For attached
     /// queries, read through their [`QueryHandle`] instead.
     ///
-    /// Synchronous on the shared core in the local modes. In
+    /// Synchronous on the shared core in single-threaded mode. In
     /// [`ExecutionMode::Sharded`] the read is routed to the shard worker
     /// owning its reader and evaluated there, epoch-consistently
     /// ([`ShardedEngine::read_service`]) — the caller thread never
@@ -942,7 +920,7 @@ impl<A: Aggregate> EagrSystem<A> {
     }
 
     /// Evaluate the primary query at `v` without consistency guarantees:
-    /// identical to [`read`](Self::read) in the local modes, but in
+    /// identical to [`read`](Self::read) in single-threaded mode, but in
     /// [`ExecutionMode::Sharded`] it evaluates on the calling thread
     /// through the slab read locks ([`ShardedEngine::read`]) — no epoch
     /// gate, no drain, no pause of concurrent ingestion. Between epochs it
@@ -953,7 +931,7 @@ impl<A: Aggregate> EagrSystem<A> {
         let reg = self.inner.registry.read();
         let st = reg.primary()?;
         match &st.runtime {
-            Runtime::Local(core) | Runtime::TwoPool { core, .. } => core.read(v),
+            Runtime::Local(core) => core.read(v),
             Runtime::Sharded(eng) => eng.read(v),
         }
     }
@@ -962,7 +940,7 @@ impl<A: Aggregate> EagrSystem<A> {
     /// answers the query at `nodes[i]` (`None` when the node has no
     /// reader).
     ///
-    /// Mode-aware routing: the local modes evaluate synchronously on the
+    /// Mode-aware routing: single-threaded mode evaluates synchronously on the
     /// shared core; [`ExecutionMode::Sharded`] fans the batch out to the
     /// shard workers owning each reader ([`ShardedEngine::read_batch`]),
     /// where push finalizes and the local part of pull trees run against
@@ -989,7 +967,7 @@ impl<A: Aggregate> EagrSystem<A> {
         let reg = self.inner.registry.read();
         reg.live()
             .map(|st| match &st.runtime {
-                Runtime::Local(core) | Runtime::TwoPool { core, .. } => core.advance_time(ts),
+                Runtime::Local(core) => core.advance_time(ts),
                 Runtime::Sharded(eng) => transport_ok(eng.advance_time_epoch(ts)) as usize,
             })
             .sum()
@@ -1000,8 +978,6 @@ impl<A: Aggregate> EagrSystem<A> {
     /// executed (each event counted once, however many queries it feeds).
     ///
     /// * single-threaded — synchronous replay;
-    /// * two-pool — writes become queued micro-tasks, fire-and-forget
-    ///   reads go to the read pool, then the pools are drained;
     /// * sharded — one ingestion epoch ([`ShardedEngine::ingest_epoch`]).
     pub fn write_batch(&self, batch: &EventBatch) -> IngestReport
     where
@@ -1110,23 +1086,6 @@ impl<A: Aggregate> EagrSystem<A> {
                         }
                     }
                 }
-                Runtime::TwoPool { engine, .. } => {
-                    for (i, e) in events.iter().enumerate() {
-                        match *e {
-                            Event::Write { node, value } => {
-                                engine.submit_write(node, value, base_ts + i as u64);
-                            }
-                            Event::Read { node } => {
-                                engine.submit_read(node);
-                            }
-                            Event::AddEdge { .. }
-                            | Event::RemoveEdge { .. }
-                            | Event::AddNode { .. }
-                            | Event::RemoveNode { .. } => {}
-                        }
-                    }
-                    engine.drain();
-                }
                 Runtime::Sharded(eng) => {
                     let _ = transport_ok(eng.ingest_epoch_at(events, base_ts));
                 }
@@ -1158,7 +1117,7 @@ impl<A: Aggregate> EagrSystem<A> {
     /// ([`topo_plan_delta`] — no planner re-run), and move each runtime
     /// onto the repaired topology. The sharded engine swaps cores in
     /// place through [`ShardedEngine::apply_topo`] (workers keep running
-    /// across the epoch); the local modes rebuild and re-seed from
+    /// across the epoch); single-threaded mode rebuilds and re-seeds from
     /// carried state.
     ///
     /// A run costs the region it touches, not the graph: validation applies
@@ -1233,7 +1192,6 @@ impl<A: Aggregate> EagrSystem<A> {
         run.epochs = 1;
         for slot in reg.strata.iter_mut() {
             let Some(st) = slot.as_mut() else { continue };
-            st.runtime.quiesce();
             // The repair diffs neighborhoods before/after each mutation,
             // so it starts from the pre-run graph; its replay lands on the
             // same post-run graph validation reached.
@@ -1351,8 +1309,8 @@ impl<A: Aggregate> EagrSystem<A> {
         self.inner.clock.load(Ordering::Relaxed)
     }
 
-    /// The primary stratum's shared engine core (for parallel or adaptive
-    /// execution).
+    /// The primary stratum's shared engine core (for a
+    /// [`ParallelEngine`](eagr_exec::ParallelEngine) or adaptive execution).
     ///
     /// # Panics
     /// Panics in [`ExecutionMode::Sharded`], where PAO state lives in
@@ -1361,7 +1319,7 @@ impl<A: Aggregate> EagrSystem<A> {
         let reg = self.inner.registry.read();
         let st = reg.primary().expect("no live stratum");
         match &st.runtime {
-            Runtime::Local(core) | Runtime::TwoPool { core, .. } => Arc::clone(core),
+            Runtime::Local(core) => Arc::clone(core),
             Runtime::Sharded(_) => {
                 panic!("core() requires a local execution mode; use sharded_engine()")
             }
@@ -1382,7 +1340,7 @@ impl<A: Aggregate> EagrSystem<A> {
     /// ([`ShardedEngine::rebalance`]): refine the node→shard map from
     /// observed load and migrate the affected PAO state with the two-phase
     /// copy-then-flip protocol — ingestion keeps running through the copy;
-    /// only the final flip is epoch-fenced. `None` in the local modes
+    /// only the final flip is epoch-fenced. `None` in single-threaded mode
     /// (there is nothing to rebalance).
     pub fn rebalance(&self) -> Option<MigrationReport> {
         self.sharded_engine()
@@ -1391,22 +1349,13 @@ impl<A: Aggregate> EagrSystem<A> {
 
     /// Compact the sharded PAO slabs, reclaiming slots orphaned by past
     /// migrations ([`ShardedEngine::compact`]). Returns the number of
-    /// slots reclaimed; `None` in the local modes (local stores have no
+    /// slots reclaimed; `None` in single-threaded mode (local stores have no
     /// slabs to compact).
     pub fn compact(&self) -> Option<u64> {
         self.sharded_engine().map(|eng| transport_ok(eng.compact()))
     }
 
-    /// Spawn a multi-threaded engine over this system's state (local
-    /// modes only; see [`core`](Self::core)).
-    pub fn parallel(&self, cfg: ParallelConfig) -> ParallelEngine<A>
-    where
-        A::Output: Send,
-    {
-        ParallelEngine::new(self.core(), cfg)
-    }
-
-    /// Wrap the engine with §4.8 runtime adaptation (local modes only; see
+    /// Wrap the engine with §4.8 runtime adaptation (single-threaded mode only; see
     /// [`core`](Self::core)).
     pub fn adaptive(&self, check_every: u64) -> AdaptiveEngine<A> {
         AdaptiveEngine::new(self.core(), self.cost, self.writer_window, check_every)
@@ -1571,10 +1520,6 @@ mod tests {
         let nodes: Vec<NodeId> = (0..120u32).map(NodeId).collect();
         let modes = [
             ExecutionMode::SingleThreaded,
-            ExecutionMode::TwoPool(ParallelConfig {
-                write_threads: 2,
-                read_threads: 1,
-            }),
             ExecutionMode::Sharded { shards: 4 },
         ];
         let mut answers = Vec::new();
@@ -1590,8 +1535,7 @@ mod tests {
             }
             answers.push(batch);
         }
-        assert_eq!(answers[0], answers[1], "two-pool diverged from single");
-        assert_eq!(answers[0], answers[2], "sharded diverged from single");
+        assert_eq!(answers[0], answers[1], "sharded diverged from single");
     }
 
     #[test]
@@ -1650,31 +1594,6 @@ mod tests {
     }
 
     #[test]
-    fn two_pool_mode_ingests_batches() {
-        let g = social_graph(100, 3, 13);
-        let sys = EagrSystem::builder(EgoQuery::new(Sum))
-            .execution(ExecutionMode::TwoPool(ParallelConfig {
-                write_threads: 2,
-                read_threads: 1,
-            }))
-            .build(&g);
-        let events = generate_events(
-            100,
-            &WorkloadConfig {
-                events: 2000,
-                write_to_read: 3.0,
-                seed: 14,
-                ..Default::default()
-            },
-        );
-        let report = sys.ingest(&events);
-        assert_eq!(report.total(), 2000);
-        // Point ops remain synchronous on the shared core.
-        sys.write(NodeId(0), 5, 1_000_000);
-        let _ = sys.read(NodeId(1));
-    }
-
-    #[test]
     fn ingest_clock_is_monotonic_across_calls() {
         let g = social_graph(60, 3, 15);
         let sys = EagrSystem::builder(EgoQuery::new(Sum)).build(&g);
@@ -1700,10 +1619,6 @@ mod tests {
         let g = social_graph(60, 3, 15);
         let modes = [
             ExecutionMode::SingleThreaded,
-            ExecutionMode::TwoPool(ParallelConfig {
-                write_threads: 1,
-                read_threads: 1,
-            }),
             ExecutionMode::Sharded { shards: 2 },
         ];
         for mode in modes {
@@ -2120,17 +2035,11 @@ mod tests {
                 .build(&g)
         };
         let local = build(ExecutionMode::SingleThreaded);
-        let pooled = build(ExecutionMode::TwoPool(ParallelConfig {
-            write_threads: 2,
-            read_threads: 1,
-        }));
         let sharded = build(ExecutionMode::Sharded { shards: 3 });
         let mut bound = g.id_bound();
         for batch in &epochs {
             let rl = local.ingest(batch);
-            let rp = pooled.ingest(batch);
             let rs = sharded.ingest(batch);
-            assert_eq!(rl, rp, "local vs two-pool ingest report");
             assert_eq!(rl, rs, "local vs sharded ingest report");
             assert!(rl.mutations > 0, "churn epochs carry mutations");
             for e in batch {
@@ -2140,9 +2049,7 @@ mod tests {
             }
             let nodes: Vec<NodeId> = (0..bound as u32).map(NodeId).collect();
             let vl = local.read_batch(&nodes);
-            let vp = pooled.read_batch(&nodes);
             let vs = sharded.read_batch(&nodes);
-            assert_eq!(vl, vp, "local vs two-pool answers under churn");
             assert_eq!(vl, vs, "local vs sharded answers under churn");
         }
         let tl = local.registry_stats().topo;

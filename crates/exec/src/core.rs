@@ -26,15 +26,16 @@ use eagr_agg::{Aggregate, DeltaOp, Sign, WindowBuffer, WindowSpec};
 use eagr_flow::{Decision, Decisions, Frequencies};
 use eagr_graph::NodeId;
 use eagr_overlay::{Overlay, OverlayId, OverlayKind};
+use eagr_util::FastSet;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Shared engine state, generic over the PAO storage backend `S`. The
-/// single-threaded [`Engine`](crate::Engine), the two-pool
-/// [`ParallelEngine`](crate::ParallelEngine), and the shard-owned
-/// [`ShardedEngine`](crate::ShardedEngine) all run on top of it — the first
-/// two over the default [`LockedStore`], the last over a
+/// Shared engine state, generic over the PAO storage backend `S`. Used
+/// directly it is the single-threaded reference engine; the two-pool
+/// [`ParallelEngine`](crate::ParallelEngine) and the shard-owned
+/// [`ShardedEngine`](crate::ShardedEngine) run on top of it — the former
+/// over the default [`LockedStore`], the latter over a
 /// [`crate::store::ShardedStore`].
 pub struct EngineCore<
     A: Aggregate,
@@ -546,6 +547,47 @@ impl<A: Aggregate, S: PaoStore<A::Partial>> EngineCore<A, S> {
         let fresh = self.eval_pull(n);
         self.store.with_mut(n.idx(), |p| *p = fresh);
     }
+
+    /// Seed a freshly built engine: install `carried` state, install each
+    /// live backfilled writer's window, then rebuild every push PAO in
+    /// `materialize` or backfilled, in topological order (writers before
+    /// the partials and readers they feed). Returns the PAOs rebuilt.
+    pub fn seed(
+        &self,
+        carried: Option<EngineState<A::Partial>>,
+        backfill: &[(OverlayId, WindowBuffer)],
+        materialize: &FastSet<OverlayId>,
+    ) -> usize {
+        if let Some(state) = carried {
+            self.install_state(state);
+        }
+        let mut backfilled: FastSet<OverlayId> = FastSet::default();
+        for (wid, buf) in backfill {
+            if !self.overlay.is_retired(*wid) {
+                self.install_window(*wid, buf);
+                backfilled.insert(*wid);
+            }
+        }
+        if materialize.is_empty() && backfilled.is_empty() {
+            return 0;
+        }
+        let mut rebuilt = 0;
+        for n in self.overlay.topo_order() {
+            if self.overlay.is_retired(n) || !self.is_push(n) {
+                continue;
+            }
+            if !materialize.contains(&n) && !backfilled.contains(&n) {
+                continue;
+            }
+            if matches!(self.overlay.kind(n), OverlayKind::Writer(_)) {
+                self.rebuild_writer_pao(n);
+            } else {
+                self.materialize(n);
+            }
+            rebuilt += 1;
+        }
+        rebuilt
+    }
 }
 
 /// A by-index snapshot of an engine's mutable runtime state (window
@@ -711,6 +753,53 @@ mod tests {
         assert_eq!(pao, 13);
         // Replay must not re-bump the observed-push counters.
         assert_eq!(core.total_pushes(), before);
+    }
+
+    /// A core over the paper example under a planner-chosen decision set.
+    fn planned_core<A: Aggregate>(agg: A, alg: eagr_flow::DecisionAlgorithm) -> EngineCore<A> {
+        let ag = BipartiteGraph::build(&paper_example_graph(), &Neighborhood::In, |_| true);
+        let p = eagr_flow::plan(
+            Overlay::direct_from_bipartite(&ag),
+            &eagr_flow::Rates::uniform(7, 1.0),
+            &eagr_agg::CostModel::unit_sum(),
+            &eagr_flow::PlannerConfig {
+                algorithm: alg,
+                split: false,
+                writer_window: 1,
+                push_amplification: 2.0,
+            },
+        );
+        EngineCore::new(agg, Arc::new(p.overlay), &p.decisions, WindowSpec::Tuple(1))
+    }
+
+    #[test]
+    fn sum_under_maxflow_decisions_matches_paper() {
+        let core = planned_core(Sum, eagr_flow::DecisionAlgorithm::MaxFlow);
+        replay_paper_streams(&core);
+        let want = [19, 10, 30, 30, 23, 30, 30];
+        for (v, &w) in want.iter().enumerate() {
+            assert_eq!(core.read(NodeId(v as u32)), Some(w), "reader {v}");
+        }
+    }
+
+    #[test]
+    fn max_under_tuple_window_keeps_latest() {
+        let core = planned_core(eagr_agg::Max, eagr_flow::DecisionAlgorithm::MaxFlow);
+        core.write(NodeId(2), 6, 0);
+        core.write(NodeId(3), 8, 1);
+        core.write(NodeId(3), 4, 2); // replaces 8 under c=1 window
+        assert_eq!(core.read(NodeId(0)), Some(Some(6)));
+    }
+
+    #[test]
+    fn topk_under_greedy_decisions() {
+        let core = planned_core(eagr_agg::TopK::new(2), eagr_flow::DecisionAlgorithm::Greedy);
+        // Writers c,d,e,f feed reader a; values act as "topics".
+        core.write(NodeId(2), 42, 0);
+        core.write(NodeId(3), 42, 1);
+        core.write(NodeId(4), 7, 2);
+        core.write(NodeId(5), 42, 3);
+        assert_eq!(core.read(NodeId(0)), Some(vec![(42, 3), (7, 1)]));
     }
 
     #[test]

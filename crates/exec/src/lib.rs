@@ -5,24 +5,25 @@
 //!   trait.
 //! * [`core`] — [`EngineCore`]: overlay-frozen runtime state (windows, PAO
 //!   store, atomic decisions, observation counters) with the write/read
-//!   execution flow, generic over the storage backend.
-//! * [`engine`] — the single-threaded reference engine.
+//!   execution flow, generic over the storage backend. Used directly it is
+//!   the single-threaded reference engine.
 //! * [`parallel`] — the two-pool multi-threaded engine (queueing-model
-//!   writes, uni-thread reads).
+//!   writes, uni-thread reads), kept as the reference row of the
+//!   throughput figures.
 //! * [`sharded`] — the shard-owned, batch-ingesting runtime: workers own
 //!   disjoint PAO shards and exchange batched cross-shard deltas over
 //!   bounded channels, drained in epochs.
 //! * [`adaptive`] — the §4.8 runtime decision adaptation.
 //! * [`transport`] — the [`transport::ShardTransport`] seam under the
 //!   sharded runtime: in-process worker threads (default) or
-//!   `eagr-shard-host` OS processes over Unix-domain sockets.
-//! * [`metrics`] — latency recording and throughput computation.
+//!   `eagr-shard-host` OS processes over Unix-domain sockets, each with
+//!   the same data plane and state plane.
+//! * [`metrics`] — throughput computation.
 
 #![forbid(unsafe_code)]
 
 pub mod adaptive;
 pub mod core;
-pub mod engine;
 pub mod metrics;
 pub mod parallel;
 pub mod sharded;
@@ -31,8 +32,7 @@ pub mod transport;
 
 pub use crate::core::{EngineCore, EngineState};
 pub use adaptive::AdaptiveEngine;
-pub use engine::Engine;
-pub use metrics::{throughput, LatencyRecorder};
+pub use metrics::throughput;
 pub use parallel::{ParallelConfig, ParallelEngine};
 pub use sharded::{
     LivePartition, MapSnapshot, MigrationReport, ReadReplies, RebalancePolicy, ShardMsg,
@@ -40,4 +40,4 @@ pub use sharded::{
     TopoSwap,
 };
 pub use store::{LockedStore, PaoReader, PaoStore, ShardSnapshot, ShardedStore, StoreReader};
-pub use transport::{PlanUpdate, ShardTransport, SlotState, TransportError, TransportKind};
+pub use transport::{ShardTransport, SlotState, TransportError, TransportKind};

@@ -1,57 +1,7 @@
-//! Execution instrumentation: latency recording and throughput computation
-//! (the evaluation metrics of §5.1 and Fig 13c).
+//! Execution instrumentation: throughput computation (the headline
+//! evaluation metric of §5.1).
 
-use eagr_util::LatencySummary;
-use parking_lot::Mutex;
-use std::time::{Duration, Instant};
-
-/// Thread-safe collector of per-operation latencies (milliseconds).
-#[derive(Default)]
-pub struct LatencyRecorder {
-    samples: Mutex<Vec<f64>>,
-}
-
-impl LatencyRecorder {
-    /// Empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one latency.
-    pub fn record(&self, d: Duration) {
-        self.samples.lock().push(d.as_secs_f64() * 1e3);
-    }
-
-    /// Time a closure and record its latency, returning its result.
-    pub fn time<T>(&self, f: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now();
-        let out = f();
-        self.record(t0.elapsed());
-        out
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.lock().len()
-    }
-
-    /// Whether no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.lock().is_empty()
-    }
-
-    /// Worst / p95 / average summary (Fig 13c's three series); drains
-    /// nothing.
-    pub fn summary(&self) -> LatencySummary {
-        let mut samples = self.samples.lock().clone();
-        LatencySummary::from_samples(&mut samples)
-    }
-
-    /// Clear all samples.
-    pub fn reset(&self) {
-        self.samples.lock().clear();
-    }
-}
+use std::time::Duration;
 
 /// End-to-end throughput: operations per second over a wall-clock duration
 /// (the paper's headline metric: "the total number of read and write
@@ -66,28 +16,6 @@ pub fn throughput(ops: usize, elapsed: Duration) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn records_and_summarizes() {
-        let r = LatencyRecorder::new();
-        for ms in [1.0, 2.0, 3.0] {
-            r.record(Duration::from_secs_f64(ms / 1e3));
-        }
-        assert_eq!(r.len(), 3);
-        let s = r.summary();
-        assert!(s.avg >= 1.9 && s.avg <= 2.1, "avg {}", s.avg);
-        assert!(s.worst >= 2.9);
-        r.reset();
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn time_closure() {
-        let r = LatencyRecorder::new();
-        let out = r.time(|| 21 * 2);
-        assert_eq!(out, 42);
-        assert_eq!(r.len(), 1);
-    }
 
     #[test]
     fn throughput_math() {

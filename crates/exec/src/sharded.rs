@@ -75,7 +75,7 @@
 
 use crate::core::{EngineCore, EngineState};
 use crate::store::{PaoReader, PaoStore, ShardedStore};
-use crate::transport::{PlanUpdate, ShardTransport, SlotState, TransportError, TransportKind};
+use crate::transport::{ShardTransport, SlotState, TransportError, TransportKind};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use eagr_agg::{Aggregate, DeltaOp, WindowBuffer, WindowSpec};
 use eagr_flow::{Decisions, Plan};
@@ -84,8 +84,8 @@ use eagr_graph::{
     edge_cut_partition, hash_shard, refine_partition, EdgeCutConfig, NodeId, Partition,
     PartitionStrategy, Partitioner, RefineConfig, ShardId, DEFAULT_CHUNK_SIZE,
 };
-use eagr_overlay::{Overlay, OverlayId, OverlayKind, PushEdgeView};
-use eagr_util::{FastMap, FastSet};
+use eagr_overlay::{Overlay, OverlayId, PushEdgeView};
+use eagr_util::FastSet;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -553,22 +553,17 @@ pub enum ShardMsg<A: Aggregate> {
     },
     /// Migration phase 2 (sent under the exclusive epoch gate over a
     /// drained engine): stop side-logging and reply with the buffered
-    /// deltas. On `commit`, also drop window-expiration ownership of the
-    /// departing writers (their new owners receive
-    /// [`Adopt`](Self::Adopt)); an aborted migration keeps them.
+    /// deltas. Window-expiration ownership moves after the flip, with the
+    /// map update ([`ShardTransport::map_update`]).
     EndCopy {
-        /// Whether the flip is going ahead.
-        commit: bool,
         /// Side-log return channel (sized so the send never blocks).
         reply: Sender<SideLogReply>,
     },
-    /// Migration phase 2, after the flip: adopt window-expiration
-    /// ownership of the listed writers (their PAOs were already installed
-    /// by the rebalancer via [`ShardedStore::relocate`]).
-    Adopt(Vec<OverlayId>),
-    /// Topology epoch ([`ShardedEngine::apply_topo`], sent under the
-    /// exclusive epoch gate over a drained engine): swap the worker's core
-    /// and routing-map handles for the rebuilt ones and take over the new
+    /// A new core or map, published by the in-process transport's state
+    /// plane (topology epochs, rebuild seeding, map updates after a
+    /// migration — sent under the exclusive epoch gate over a drained
+    /// engine): swap the
+    /// worker's core and routing-map handles and take over the new
     /// window-expiration writer set. Travels through the same inbox +
     /// `pending` protocol as every other message, so the topology change
     /// drains like an epoch — no worker restart, no re-plan.
@@ -774,18 +769,10 @@ impl<A: Aggregate> ShardedEngine<A> {
             Arc::new((0..shards).map(|_| AtomicU64::new(0)).collect());
         let local: Arc<Vec<AtomicU64>> = Arc::new((0..shards).map(|_| AtomicU64::new(0)).collect());
         let reads: Arc<Vec<AtomicU64>> = Arc::new((0..shards).map(|_| AtomicU64::new(0)).collect());
-        // Each worker expires the windows of exactly the writers it owns,
-        // so window mutation follows the same single-writer discipline as
-        // PAO mutation.
-        let mut writers_by_shard: Vec<Vec<OverlayId>> = vec![Vec::new(); shards];
-        for (wid, _) in core.overlay().writers() {
-            writers_by_shard[partition.shard_of(wid.idx()).idx()].push(wid);
-        }
         let transport: Box<dyn ShardTransport<A>> = match cfg.transport {
             TransportKind::InProcess => Box::new(InProcessTransport::launch(
                 Arc::clone(&core),
                 Arc::clone(&partition),
-                writers_by_shard,
                 Arc::clone(&pending),
                 Arc::clone(&cross_out),
                 Arc::clone(&local),
@@ -1034,67 +1021,23 @@ impl<A: Aggregate> ShardedEngine<A> {
     /// epoch-consistent reads use [`read_batch`](Self::read_batch) /
     /// [`read_service`](Self::read_service).
     ///
-    /// Under [`TransportKind::Process`] the PAO state lives in the shard
-    /// hosts, so this delegates to [`try_read`](Self::try_read) and maps a
-    /// transport failure to `None`; call `try_read` directly to
-    /// distinguish "no reader" from "host died".
+    /// A transport failure (a dead shard host) maps to `None`; call
+    /// [`try_read`](Self::try_read) to distinguish "no reader" from "host
+    /// died".
     pub fn read(&self, v: NodeId) -> Option<A::Output> {
-        match self.transport.kind() {
-            TransportKind::InProcess => self.core().read(v),
-            TransportKind::Process => self.try_read(v).unwrap_or(None),
-        }
+        self.try_read(v).unwrap_or(None)
     }
 
     /// Fallible form of [`read`](Self::read) (same relaxed mid-epoch
-    /// consistency). In-process it cannot fail; under
-    /// [`TransportKind::Process`] the needed push PAOs are fetched from
-    /// their owning hosts ([`ShardTransport::fetch_paos`]) and the
-    /// finalize/pull evaluation runs on the calling thread.
+    /// consistency), evaluated by [`ShardTransport::read_here`]: straight
+    /// off the shared store in-process; over sockets the needed push PAOs
+    /// are fetched from their owning hosts first.
     pub fn try_read(&self, v: NodeId) -> Result<Option<A::Output>, TransportError> {
         let core = self.core();
-        match self.transport.kind() {
-            TransportKind::InProcess => Ok(core.read(v)),
-            TransportKind::Process => {
-                let Some(rid) = core.overlay().reader(v) else {
-                    return Ok(None);
-                };
-                let mut needed: FastSet<u32> = FastSet::default();
-                if core.is_push(rid) {
-                    needed.insert(rid.0);
-                } else {
-                    collect_pull_slots(&core, rid, &mut needed);
-                }
-                let reader = self.fetch_pao_reader(&core, &needed)?;
-                Ok(core.read_via(v, &reader))
-            }
-        }
-    }
-
-    /// Fetch the listed push-PAO slots from their owning shard hosts and
-    /// wrap them in a [`PaoReader`] for coordinator-side evaluation
-    /// (process transport only).
-    fn fetch_pao_reader(
-        &self,
-        core: &ShardedCore<A>,
-        needed: &FastSet<u32>,
-    ) -> Result<FetchedPaos<A::Partial>, TransportError> {
-        let partition = self.partition_ref();
-        let mut by_owner: Vec<Vec<u32>> = vec![Vec::new(); self.shard_count()];
-        for &slot in needed.iter() {
-            by_owner[partition.shard_of(slot as usize).idx()].push(slot);
-        }
-        let mut paos: FastMap<u32, A::Partial> = FastMap::default();
-        for (shard, slots) in by_owner.into_iter().enumerate() {
-            if !slots.is_empty() {
-                for (slot, pao) in self.transport.fetch_paos(shard, &slots)? {
-                    paos.insert(slot, pao);
-                }
-            }
-        }
-        Ok(FetchedPaos {
-            paos,
-            empty: core.aggregate().empty(),
-        })
+        let answers =
+            self.transport
+                .read_here(&core, &self.partition_ref(), std::slice::from_ref(&v))?;
+        Ok(answers.into_iter().next().flatten())
     }
 
     /// Evaluate a batch of reads **on the shard workers**, epoch-
@@ -1123,21 +1066,18 @@ impl<A: Aggregate> ShardedEngine<A> {
         let partition = self.partition_ref();
         let overlay = core.overlay();
         let mut results: Vec<Option<A::Output>> = vec![None; nodes.len()];
-        // Under the process transport, pull-decided readers are evaluated
-        // on the coordinator over fetched push PAOs (a shard host holds
-        // only its own slots, so it cannot resolve a cross-shard pull
-        // tree); push-decided readers ship to their owning host like any
-        // in-process read. The engine is drained under the exclusive gate
-        // either way, so both paths answer from the same epoch boundary.
-        let process = self.transport.kind() == TransportKind::Process;
+        // A reader its owning peer cannot evaluate (a pull tree over shard
+        // hosts) is evaluated here instead. The engine is drained under
+        // the exclusive gate, so both paths answer from the same epoch
+        // boundary.
         let mut per_shard: Vec<Vec<(usize, NodeId)>> = vec![Vec::new(); self.shard_count()];
-        let mut pull_targets: Vec<(usize, NodeId)> = Vec::new();
+        let mut here: Vec<(usize, NodeId)> = Vec::new();
         for (i, &v) in nodes.iter().enumerate() {
             if let Some(rid) = overlay.reader(v) {
-                if process && !core.is_push(rid) {
-                    pull_targets.push((i, v));
-                } else {
+                if self.transport.peer_serves_read(&core, rid) {
                     per_shard[partition.shard_of(rid.idx()).idx()].push((i, v));
+                } else {
+                    here.push((i, v));
                 }
             }
         }
@@ -1165,16 +1105,11 @@ impl<A: Aggregate> ShardedEngine<A> {
                 results[slot] = answer;
             }
         }
-        if !pull_targets.is_empty() {
-            let mut needed: FastSet<u32> = FastSet::default();
-            for &(_, v) in &pull_targets {
-                if let Some(rid) = overlay.reader(v) {
-                    collect_pull_slots(&core, rid, &mut needed);
-                }
-            }
-            let reader = self.fetch_pao_reader(&core, &needed)?;
-            for (i, v) in pull_targets {
-                results[i] = core.read_via(v, &reader);
+        if !here.is_empty() {
+            let targets: Vec<NodeId> = here.iter().map(|&(_, v)| v).collect();
+            let answers = self.transport.read_here(&core, &partition, &targets)?;
+            for ((i, _), answer) in here.into_iter().zip(answers) {
+                results[i] = answer;
             }
         }
         Ok(results)
@@ -1284,13 +1219,7 @@ impl<A: Aggregate> ShardedEngine<A> {
         // The single-flight guard keeps topology epochs out, so this pair
         // stays current for the whole migration.
         let core = self.core();
-        // Observed counters live where the ops are applied: on the
-        // coordinator core in-process, on the shard hosts over the socket
-        // transport (summed element-wise here).
-        let (counts, pulls) = match self.transport.kind() {
-            TransportKind::InProcess => (core.observed_push_counts(), core.observed_pull_counts()),
-            TransportKind::Process => self.transport.observed_counts()?,
-        };
+        let (counts, pulls) = self.transport.observed_counts(&core)?;
         let view =
             PushEdgeView::observed_with_reads(core.overlay(), |n| core.is_push(n), &counts, &pulls);
         let current = self.partition_ref().snapshot();
@@ -1318,10 +1247,7 @@ impl<A: Aggregate> ShardedEngine<A> {
         let mut report = flight.execute(moves)?;
         report.cut_before = stats.cut_before;
         report.cut_after = stats.cut_after;
-        match self.transport.kind() {
-            TransportKind::InProcess => core.decay_observed(self.policy.decay),
-            TransportKind::Process => self.transport.decay_observed(self.policy.decay)?,
-        }
+        self.transport.decay_observed(&core, self.policy.decay)?;
         Ok(report)
     }
 
@@ -1361,15 +1287,32 @@ impl<A: Aggregate> ShardedEngine<A> {
         flight.execute(moves)
     }
 
-    /// Gather the slots a process-mode resync or epoch needs: under the
-    /// socket transport the coordinator core is a stale mirror between
-    /// fences, so state-rewriting paths first pull every shard's owned
-    /// state back in ([`ShardTransport::fetch_state`]) before exporting.
-    fn resync_from_hosts(&self, core: &ShardedCore<A>) -> Result<(), TransportError> {
-        for shard in 0..self.shard_count() {
-            core.install_state(self.transport.fetch_state(shard)?);
-        }
-        Ok(())
+    /// Snapshot the live window + PAO state for a runtime rebuild
+    /// (multi-query attach/detach): drain under the exclusive gate, pull
+    /// the peers' state into the coordinator core
+    /// ([`ShardTransport::pull_state`]) and export it.
+    pub fn export_state(&self) -> Result<EngineState<A::Partial>, TransportError> {
+        let _gate = self.epoch_gate.write();
+        self.drain()?;
+        let core = self.core();
+        self.transport.pull_state(&core)?;
+        Ok(core.export_state())
+    }
+
+    /// Seed a freshly built engine ([`EngineCore::seed`]) and publish the
+    /// seeded state to the peers ([`ShardTransport::publish`]).
+    pub fn seed(
+        &self,
+        carried: Option<EngineState<A::Partial>>,
+        backfill: &[(OverlayId, WindowBuffer)],
+        materialize: &FastSet<OverlayId>,
+    ) -> Result<(), TransportError> {
+        let _gate = self.epoch_gate.write();
+        self.drain()?;
+        let core = self.core();
+        core.seed(carried, backfill, materialize);
+        self.transport.publish(&core, &self.partition_ref())?;
+        self.drain()
     }
 
     /// Apply one **topology epoch**: swap the engine onto a repaired
@@ -1384,21 +1327,24 @@ impl<A: Aggregate> ShardedEngine<A> {
     ///
     /// Protocol: acquire the migration single-flight guard (topology
     /// epochs and live migrations serialize — both rewrite the map), take
-    /// the epoch gate exclusively, drain, then
+    /// the epoch gate exclusively, drain, pull the peers' state into the
+    /// old core ([`ShardTransport::pull_state`]), then
     ///
     /// 1. take the old core's state: window buffers by move, PAOs by copy
     ///    ([`EngineCore::take_state`]);
     /// 2. extend the node→shard map: each fresh node is assigned online by
     ///    its overlay-neighbor affinity ([`Partition::assign_online`]) —
     ///    no global re-partition;
-    /// 3. build the new core over fresh slabs, reinstall carried state,
-    ///    backfill fresh writers, and rematerialize the `materialize` set
-    ///    in topological order;
+    /// 3. build the new core over fresh slabs and seed it
+    ///    ([`EngineCore::seed`]): carried state, fresh-writer backfill, the
+    ///    `materialize` set rematerialized in topological order;
     /// 4. tombstone every retired node's slab slot
     ///    ([`ShardedStore::retire_slot`]) so compaction reclaims it;
-    /// 5. publish the new core/map pair and ship a `ShardMsg::Topo` swap
-    ///    through every shard inbox — drained like an epoch, so when this
-    ///    returns every worker routes against the new topology.
+    /// 5. publish the new core/map pair here and to every peer
+    ///    ([`ShardTransport::publish`]: a `ShardMsg::Topo` swap through each
+    ///    worker inbox in-process, a serialized plan plus owned state over
+    ///    sockets) and drain, so when this returns every peer routes
+    ///    against the new topology.
     ///
     /// Compaction piggybacks on the fence exactly like a migration flip
     /// when the orphan count clears the policy trigger.
@@ -1418,11 +1364,7 @@ impl<A: Aggregate> ShardedEngine<A> {
         let gate = self.epoch_gate.write();
         self.drain()?;
         let old_core = self.core();
-        if self.transport.kind() == TransportKind::Process {
-            // The hosts hold the live PAO/window state; pull it into the
-            // coordinator mirror so export_state below carries reality.
-            self.resync_from_hosts(&old_core)?;
-        }
+        self.transport.pull_state(&old_core)?;
         let old_partition = self.partition_ref();
         let old_overlay = old_core.overlay();
         let old_n = old_overlay.node_count();
@@ -1462,33 +1404,7 @@ impl<A: Aggregate> ShardedEngine<A> {
             self.window,
             store,
         ));
-        // Seed exactly like a registry rebuild: carried state, fresh-writer
-        // backfill, then rematerialize the stale-PAO set writers-first.
-        new_core.install_state(carried);
-        let mut backfilled: FastSet<OverlayId> = FastSet::default();
-        for (wid, buf) in backfill {
-            if !overlay.is_retired(*wid) {
-                new_core.install_window(*wid, buf);
-                backfilled.insert(*wid);
-            }
-        }
-        let mut rematerialized = 0usize;
-        if !materialize.is_empty() || !backfilled.is_empty() {
-            for n in overlay.topo_order() {
-                if overlay.is_retired(n) || !new_core.is_push(n) {
-                    continue;
-                }
-                if !materialize.contains(&n) && !backfilled.contains(&n) {
-                    continue;
-                }
-                if matches!(overlay.kind(n), OverlayKind::Writer(_)) {
-                    new_core.rebuild_writer_pao(n);
-                } else {
-                    new_core.materialize(n);
-                }
-                rematerialized += 1;
-            }
-        }
+        let rematerialized = new_core.seed(Some(carried), backfill, materialize);
         // Tombstone retired slots so compaction sweeps them; the fresh
         // store re-allocated a slot for every id, including long-retired
         // ones, so all of them orphan again here.
@@ -1505,95 +1421,11 @@ impl<A: Aggregate> ShardedEngine<A> {
             }
         }
         let new_partition = Arc::new(LivePartition::new(&part));
-        let mut writers_by_shard: Vec<Vec<OverlayId>> = vec![Vec::new(); self.shard_count()];
-        for (wid, _) in overlay.writers() {
-            writers_by_shard[new_partition.shard_of(wid.idx()).idx()].push(wid);
-        }
         *self.core.write() = Arc::clone(&new_core);
         *self.partition.write() = Arc::clone(&new_partition);
-        match self.transport.kind() {
-            TransportKind::InProcess => {
-                // Swap the worker-held handles through the inboxes. Under
-                // the exclusive gate over a drained engine the inboxes are
-                // otherwise empty (ingest needs the shared gate, epoch
-                // reads the exclusive one, migrations the flight guard we
-                // hold), so the swap is the only message each worker sees
-                // this epoch.
-                let swap = Arc::new(TopoSwap {
-                    core: Arc::clone(&new_core),
-                    partition: new_partition,
-                    writers_by_shard,
-                });
-                for shard in 0..self.shard_count() {
-                    self.send_counted(shard, ShardMsg::Topo(Arc::clone(&swap)))?;
-                }
-                self.drain()?;
-            }
-            TransportKind::Process => {
-                // Hosts can't share the Arc-swapped core: ship each one a
-                // serialized plan plus the slice of rebuilt state it owns
-                // under the new map, and let it rebuild its engine locally.
-                let mut full = new_core.export_state();
-                let map_vec: Vec<u32> = (0..part.len()).map(|i| part.shard_of(i).0).collect();
-                for shard in 0..self.shard_count() {
-                    let owned = EngineState {
-                        windows: full
-                            .windows
-                            .iter_mut()
-                            .enumerate()
-                            .map(|(i, w)| {
-                                (map_vec.get(i).copied() == Some(shard as u32))
-                                    .then(|| w.take())
-                                    .flatten()
-                            })
-                            .collect(),
-                        paos: full
-                            .paos
-                            .iter_mut()
-                            .enumerate()
-                            .map(|(i, p)| {
-                                (map_vec.get(i).copied() == Some(shard as u32))
-                                    .then(|| p.take())
-                                    .flatten()
-                            })
-                            .collect(),
-                    };
-                    let plan = PlanUpdate {
-                        overlay: Arc::clone(&overlay),
-                        decisions: new_core.decisions(),
-                        window: self.window,
-                        map: map_vec.clone(),
-                        state: owned,
-                    };
-                    self.transport.swap_plan(shard, &plan)?;
-                }
-            }
-        }
-        let slots_reclaimed = match self.transport.kind() {
-            TransportKind::InProcess => {
-                let store = new_core.store();
-                if self.policy.compact_after_orphans > 0
-                    && store.orphaned_slots() >= self.policy.compact_after_orphans
-                {
-                    let r = store.compact();
-                    self.slots_reclaimed.fetch_add(r, Ordering::AcqRel);
-                    r
-                } else {
-                    0
-                }
-            }
-            TransportKind::Process => {
-                if self.policy.compact_after_orphans > 0
-                    && self.transport.orphaned_slots()? >= self.policy.compact_after_orphans
-                {
-                    let r = self.transport.compact_shards()?;
-                    self.slots_reclaimed.fetch_add(r, Ordering::AcqRel);
-                    r
-                } else {
-                    0
-                }
-            }
-        };
+        self.transport.publish(&new_core, &new_partition)?;
+        self.drain()?;
+        let slots_reclaimed = self.compact_if_due(&new_core)?;
         drop(gate);
         drop(flight);
         self.topo_epochs.fetch_add(1, Ordering::AcqRel);
@@ -1676,7 +1508,6 @@ impl<A: Aggregate> ShardedEngine<A> {
             self.send_counted(
                 owner,
                 ShardMsg::EndCopy {
-                    commit: true,
                     reply: log_tx.clone(),
                 },
             )?;
@@ -1714,31 +1545,12 @@ impl<A: Aggregate> ShardedEngine<A> {
             partition.set(n.idx(), dest);
         }
         partition.publish();
-        // Hand window-expiration ownership to the new owners (old owners
-        // dropped theirs at EndCopy). Expirations can't interleave: they
-        // need the shared gate.
-        let overlay = core.overlay();
-        let mut adopt: Vec<Vec<OverlayId>> = vec![Vec::new(); self.shard_count()];
-        for &(n, dest) in &moves {
-            if !overlay.is_retired(n) && matches!(overlay.kind(n), OverlayKind::Writer(_)) {
-                adopt[dest.idx()].push(n);
-            }
-        }
-        for (dest, writers) in adopt.into_iter().enumerate() {
-            if !writers.is_empty() {
-                self.send_counted(dest, ShardMsg::Adopt(writers))?;
-            }
-        }
+        // Hand window-expiration ownership to the new owners. Expirations
+        // can't interleave: they need the shared gate.
+        let pairs: Vec<(u32, u32)> = moves.iter().map(|&(n, d)| (n.0, d.0)).collect();
+        self.transport.map_update(&core, &partition, &pairs)?;
         self.drain()?;
-        let slots_reclaimed = if self.policy.compact_after_orphans > 0
-            && store.orphaned_slots() >= self.policy.compact_after_orphans
-        {
-            let r = store.compact();
-            self.slots_reclaimed.fetch_add(r, Ordering::AcqRel);
-            r
-        } else {
-            0
-        };
+        let slots_reclaimed = self.compact_if_due(&core)?;
         drop(gate);
         self.rebalances.fetch_add(1, Ordering::AcqRel);
         self.nodes_migrated
@@ -1755,21 +1567,22 @@ impl<A: Aggregate> ShardedEngine<A> {
         })
     }
 
-    /// Process-transport migration: a **single-phase fenced** move. The
-    /// concurrent copy + side-log protocol needs shared-memory side-log
-    /// handoff, so over sockets the engine instead takes the exclusive
-    /// gate, drains, pulls each moving slot's full state from its owner
-    /// ([`ShardTransport::fetch_slots`]), installs it at the destination
-    /// host ([`ShardTransport::install_slots`]), republishes the routing
-    /// map everywhere ([`ShardTransport::map_update`] — which also hands
-    /// over window-expiration ownership), and releases. Drained under the
-    /// fence, the fetched state is exact — no deltas ever need replaying
-    /// (`deltas_replayed` is always 0 in process mode), at the cost of a
-    /// longer fence than the in-process two-phase flip.
+    /// The **single-phase fenced** move, the migration protocol of the
+    /// socket transport. The concurrent copy + side-log protocol needs
+    /// shared-memory side-log handoff, so over sockets the engine instead
+    /// takes the exclusive gate, drains, pulls each moving slot's full
+    /// state from its owner ([`ShardTransport::fetch_slots`]), installs it
+    /// at the destination ([`ShardTransport::install_slots`]), republishes
+    /// the routing map everywhere ([`ShardTransport::map_update`] — which
+    /// also hands over window-expiration ownership), and releases. Drained
+    /// under the fence, the fetched state is exact — no deltas ever need
+    /// replaying (`deltas_replayed` is always 0), at the cost of a longer
+    /// fence than the two-phase flip.
     fn execute_migration_fenced(
         &self,
         moves: Vec<(OverlayId, ShardId)>,
     ) -> Result<MigrationReport, TransportError> {
+        let core = self.core();
         let partition = self.partition_ref();
         let gate = self.epoch_gate.write();
         self.drain()?;
@@ -1783,7 +1596,7 @@ impl<A: Aggregate> ShardedEngine<A> {
                 continue;
             }
             let slots: Vec<u32> = group.iter().map(|&(n, _)| n.0).collect();
-            let fetched = self.transport.fetch_slots(owner, &slots)?;
+            let fetched = self.transport.fetch_slots(&core, owner, &slots)?;
             for (slot, pao, win) in fetched {
                 let dest = group
                     .iter()
@@ -1796,7 +1609,7 @@ impl<A: Aggregate> ShardedEngine<A> {
         let nodes_copied = by_dest.iter().map(Vec::len).sum::<usize>();
         for (dest, slots) in by_dest.into_iter().enumerate() {
             if !slots.is_empty() {
-                self.transport.install_slots(dest, slots)?;
+                self.transport.install_slots(&core, dest, slots)?;
             }
         }
         // Publish the new map locally (coordinator routing) and remotely
@@ -1807,16 +1620,9 @@ impl<A: Aggregate> ShardedEngine<A> {
             partition.set(n.idx(), dest);
         }
         partition.publish();
-        self.transport.map_update(&pairs)?;
-        let slots_reclaimed = if self.policy.compact_after_orphans > 0
-            && self.transport.orphaned_slots()? >= self.policy.compact_after_orphans
-        {
-            let r = self.transport.compact_shards()?;
-            self.slots_reclaimed.fetch_add(r, Ordering::AcqRel);
-            r
-        } else {
-            0
-        };
+        self.transport.map_update(&core, &partition, &pairs)?;
+        self.drain()?;
+        let slots_reclaimed = self.compact_if_due(&core)?;
         drop(gate);
         self.rebalances.fetch_add(1, Ordering::AcqRel);
         self.nodes_migrated
@@ -1863,10 +1669,7 @@ impl<A: Aggregate> ShardedEngine<A> {
     /// [`RebalancePolicy::compact_after_orphans`] accumulate, or manual
     /// via [`compact`](Self::compact) — reclaims them.
     pub fn orphaned_pao_slots(&self) -> u64 {
-        match self.transport.kind() {
-            TransportKind::InProcess => self.core().store().orphaned_slots(),
-            TransportKind::Process => self.transport.orphaned_slots().unwrap_or(0),
-        }
+        self.transport.orphaned_slots(&self.core()).unwrap_or(0)
     }
 
     /// Orphaned PAO slots reclaimed by compaction across the engine's
@@ -1885,10 +1688,21 @@ impl<A: Aggregate> ShardedEngine<A> {
     pub fn compact(&self) -> Result<u64, TransportError> {
         let _gate = self.epoch_gate.write();
         self.drain()?;
-        let r = match self.transport.kind() {
-            TransportKind::InProcess => self.core().store().compact(),
-            TransportKind::Process => self.transport.compact_shards()?,
-        };
+        let r = self.transport.compact(&self.core())?;
+        self.slots_reclaimed.fetch_add(r, Ordering::AcqRel);
+        Ok(r)
+    }
+
+    /// The compaction piggybacked on a fence (migration flip or topology
+    /// epoch): compact `core`'s slabs when the orphan count clears
+    /// [`RebalancePolicy::compact_after_orphans`]. Caller holds the
+    /// exclusive gate over a drained engine; returns slots reclaimed.
+    fn compact_if_due(&self, core: &ShardedCore<A>) -> Result<u64, TransportError> {
+        let trigger = self.policy.compact_after_orphans;
+        if trigger == 0 || self.transport.orphaned_slots(core)? < trigger {
+            return Ok(0);
+        }
+        let r = self.transport.compact(core)?;
         self.slots_reclaimed.fetch_add(r, Ordering::AcqRel);
         Ok(r)
     }
@@ -2019,9 +1833,9 @@ struct ShardWorker<A: Aggregate> {
     core: Arc<ShardedCore<A>>,
     partition: Arc<LivePartition>,
     shard: ShardId,
-    /// Writer nodes this shard owns (window expiration targets). Live
-    /// migration hands entries off between workers via
-    /// [`ShardMsg::EndCopy`] (disown) and [`ShardMsg::Adopt`].
+    /// Writer nodes this shard owns (window expiration targets), replaced
+    /// wholesale by every [`ShardMsg::Topo`] (topology epochs and map
+    /// updates).
     writers: Vec<OverlayId>,
     rx: Receiver<ShardMsg<A>>,
     txs: Vec<Sender<ShardMsg<A>>>,
@@ -2206,33 +2020,14 @@ impl<A: Aggregate> ShardWorker<A> {
                 let _ = reply.send((self.shard, paos));
                 false
             }
-            ShardMsg::EndCopy { commit, reply } => {
+            ShardMsg::EndCopy { reply } => {
                 *owed += 1;
-                let side = self.side.take();
-                let (log, overflowed) = match side {
-                    Some(side) => {
-                        if commit && !self.writers.is_empty() {
-                            // Disown window expiration for the departing
-                            // writers; their new owners Adopt them under
-                            // the same fence.
-                            self.writers.retain(|w| !side.nodes.contains(&w.0));
-                        }
-                        (side.log, side.overflowed)
-                    }
-                    None => (Vec::new(), false),
-                };
+                let (log, overflowed) = self
+                    .side
+                    .take()
+                    .map_or((Vec::new(), false), |side| (side.log, side.overflowed));
                 // lint: allow(channel-discipline, reply channel is sized one-slot-per-shard so the send never blocks)
                 let _ = reply.send((self.shard, log, overflowed));
-                false
-            }
-            ShardMsg::Adopt(writers) => {
-                *owed += 1;
-                let overlay = self.core.overlay();
-                for n in writers {
-                    if !overlay.is_retired(n) && matches!(overlay.kind(n), OverlayKind::Writer(_)) {
-                        self.writers.push(n);
-                    }
-                }
                 false
             }
             ShardMsg::Topo(up) => {
@@ -2297,43 +2092,26 @@ impl<A: Aggregate> ShardWorker<A> {
     }
 }
 
-/// Collect every **push** PAO slot a pull-decided node transitively reads
-/// from — the slot set [`ShardedEngine::try_read`] must fetch from the
-/// owning shard hosts before evaluating the pull tree coordinator-side.
-/// Mirrors [`EngineCore::read_via`]'s recursion without evaluating.
-fn collect_pull_slots<A: Aggregate>(core: &ShardedCore<A>, n: OverlayId, out: &mut FastSet<u32>) {
-    for &(f, _) in core.overlay().inputs(n) {
-        if core.is_push(f) {
-            out.insert(f.0);
-        } else {
-            collect_pull_slots(core, f, out);
-        }
+/// Window-expiration ownership under `map`, indexed by shard: each worker
+/// expires the windows of exactly the writers it owns, so window mutation
+/// follows the same single-writer discipline as PAO mutation.
+fn writers_by_shard(overlay: &Overlay, map: &LivePartition) -> Vec<Vec<OverlayId>> {
+    let mut out: Vec<Vec<OverlayId>> = vec![Vec::new(); map.shards()];
+    for (wid, _) in overlay.writers() {
+        out[map.shard_of(wid.idx()).idx()].push(wid);
     }
-}
-
-/// A [`PaoReader`] over PAOs fetched from shard hosts
-/// ([`ShardTransport::fetch_paos`]); slots outside the fetched set resolve
-/// to the aggregate's empty partial (they only arise for untouched inputs,
-/// whose slab state is also empty).
-struct FetchedPaos<P> {
-    paos: FastMap<u32, P>,
-    empty: P,
-}
-
-impl<P> PaoReader<P> for FetchedPaos<P> {
-    fn with_pao<R>(&self, idx: usize, f: impl FnOnce(&P) -> R) -> R {
-        f(self.paos.get(&(idx as u32)).unwrap_or(&self.empty))
-    }
+    out
 }
 
 /// The in-process [`ShardTransport`]: one owning worker thread per shard,
-/// crossbeam bounded channels in between — the pre-trait engine runtime,
-/// verbatim, behind the transport seam. All state-plane methods return
-/// [`TransportError::Unsupported`]; the engine reaches its shared store
-/// directly in this mode.
+/// crossbeam bounded channels in between. The workers share the
+/// coordinator's core, so the state plane works on that core directly;
+/// only handing workers a new core or map travels through their inboxes.
 struct InProcessTransport<A: Aggregate> {
     txs: Vec<Sender<ShardMsg<A>>>,
     handles: Mutex<Vec<JoinHandle<()>>>,
+    /// The engine's epoch counter, for the `Topo` swaps `publish` sends.
+    pending: Arc<AtomicU64>,
 }
 
 impl<A: Aggregate> InProcessTransport<A> {
@@ -2345,7 +2123,6 @@ impl<A: Aggregate> InProcessTransport<A> {
     fn launch(
         core: Arc<ShardedCore<A>>,
         partition: Arc<LivePartition>,
-        mut writers_by_shard: Vec<Vec<OverlayId>>,
         pending: Arc<AtomicU64>,
         cross_out: Arc<Vec<AtomicU64>>,
         local: Arc<Vec<AtomicU64>>,
@@ -2353,6 +2130,7 @@ impl<A: Aggregate> InProcessTransport<A> {
         channel_capacity: usize,
         side_log_bound: usize,
     ) -> Self {
+        let mut writers_by_shard = writers_by_shard(core.overlay(), &partition);
         let shards = writers_by_shard.len();
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..shards)
             .map(|_| bounded::<ShardMsg<A>>(channel_capacity))
@@ -2383,6 +2161,7 @@ impl<A: Aggregate> InProcessTransport<A> {
         Self {
             txs,
             handles: Mutex::named(handles, "inproc_handles"),
+            pending,
         }
     }
 }
@@ -2422,6 +2201,108 @@ impl<A: Aggregate> ShardTransport<A> for InProcessTransport<A> {
         for h in self.handles.lock().drain(..) {
             let _ = h.join();
         }
+    }
+
+    fn read_here(
+        &self,
+        core: &ShardedCore<A>,
+        _map: &LivePartition,
+        nodes: &[NodeId],
+    ) -> Result<Vec<Option<A::Output>>, TransportError> {
+        Ok(nodes.iter().map(|&v| core.read(v)).collect())
+    }
+
+    fn peer_serves_read(&self, _core: &ShardedCore<A>, _rid: OverlayId) -> bool {
+        true
+    }
+
+    fn pull_state(&self, _core: &ShardedCore<A>) -> Result<(), TransportError> {
+        Ok(())
+    }
+
+    fn publish(
+        &self,
+        core: &Arc<ShardedCore<A>>,
+        map: &Arc<LivePartition>,
+    ) -> Result<(), TransportError> {
+        // Swap the worker-held handles through the inboxes. Callers hold
+        // the exclusive gate over a drained engine (ingest needs the shared
+        // gate, epoch reads the exclusive one, migrations the flight
+        // guard), so the swap is the only message each worker sees.
+        let swap = Arc::new(TopoSwap {
+            core: Arc::clone(core),
+            partition: Arc::clone(map),
+            writers_by_shard: writers_by_shard(core.overlay(), map),
+        });
+        for shard in 0..self.txs.len() {
+            self.pending.fetch_add(1, Ordering::AcqRel);
+            if let Err(e) = self.send(shard, ShardMsg::Topo(Arc::clone(&swap))) {
+                self.pending.fetch_sub(1, Ordering::AcqRel);
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
+    fn fetch_slots(
+        &self,
+        core: &ShardedCore<A>,
+        _shard: usize,
+        slots: &[u32],
+    ) -> Result<Vec<SlotState<A>>, TransportError> {
+        Ok(slots
+            .iter()
+            .map(|&s| {
+                let pao = core.store().with_read(s as usize, |p| p.clone());
+                (s, pao, core.export_window(OverlayId(s)))
+            })
+            .collect())
+    }
+
+    fn install_slots(
+        &self,
+        core: &ShardedCore<A>,
+        shard: usize,
+        slots: Vec<SlotState<A>>,
+    ) -> Result<(), TransportError> {
+        // Windows live in the shared core and never moved; only the slab
+        // slot changes owner.
+        for (slot, pao, _) in slots {
+            core.store()
+                .relocate(slot as usize, ShardId(shard as u32), pao);
+        }
+        Ok(())
+    }
+
+    fn map_update(
+        &self,
+        core: &Arc<ShardedCore<A>>,
+        map: &Arc<LivePartition>,
+        _pairs: &[(u32, u32)],
+    ) -> Result<(), TransportError> {
+        // Workers already route by the shared map; re-deriving the
+        // expiration writer sets is what a same-core publish does.
+        self.publish(core, map)
+    }
+
+    fn observed_counts(
+        &self,
+        core: &ShardedCore<A>,
+    ) -> Result<(Vec<u64>, Vec<u64>), TransportError> {
+        Ok((core.observed_push_counts(), core.observed_pull_counts()))
+    }
+
+    fn decay_observed(&self, core: &ShardedCore<A>, factor: f64) -> Result<(), TransportError> {
+        core.decay_observed(factor);
+        Ok(())
+    }
+
+    fn compact(&self, core: &ShardedCore<A>) -> Result<u64, TransportError> {
+        Ok(core.store().compact())
+    }
+
+    fn orphaned_slots(&self, core: &ShardedCore<A>) -> Result<u64, TransportError> {
+        Ok(core.store().orphaned_slots())
     }
 }
 
@@ -2779,6 +2660,62 @@ mod tests {
         for v in 0..7u32 {
             assert_eq!(eng.read(NodeId(v)), reference.read(NodeId(v)), "{v} post");
         }
+        eng.shutdown();
+    }
+
+    #[test]
+    fn fenced_migration_runs_over_the_in_process_state_plane() {
+        // The socket transport's fenced move, driven through the
+        // in-process state plane: every node changes shard, and the new
+        // owners must both answer and expire the moved writers' windows.
+        let (ov, d) = paper_parts();
+        let window = WindowSpec::Time(50);
+        let eng = ShardedEngine::new(
+            Sum,
+            Arc::clone(&ov),
+            &d,
+            window,
+            &ShardedConfig::builder()
+                .shards(2)
+                .strategy(PartitionStrategy::Hash)
+                .build(),
+        );
+        let reference = EngineCore::new(Sum, Arc::clone(&ov), &d, window);
+        let mut events = Vec::new();
+        for i in 0..40u32 {
+            events.push(Event::Write {
+                node: NodeId(i % 7),
+                value: i64::from(i % 11),
+            });
+        }
+        for (ts, e) in events.iter().enumerate() {
+            if let Event::Write { node, value } = *e {
+                reference.write(node, value, ts as u64);
+            }
+        }
+        eng.ingest_epoch(&EventBatch::new(0, events)).unwrap();
+        let before = eng.partition();
+        let moves: Vec<(OverlayId, ShardId)> = (0..before.len())
+            .map(|i| (OverlayId(i as u32), ShardId(1 - before.shard_of(i).0)))
+            .collect();
+        let report = eng.execute_migration_fenced(moves).unwrap();
+        assert_eq!(report.nodes_copied, before.len());
+        assert_eq!(eng.orphaned_pao_slots(), before.len() as u64);
+        for i in 0..before.len() {
+            assert_ne!(eng.partition().shard_of(i), before.shard_of(i));
+        }
+        for v in 0..7u32 {
+            assert_eq!(eng.read(NodeId(v)), reference.read(NodeId(v)), "{v}");
+        }
+        reference.advance_time(70);
+        eng.advance_time_epoch(70).unwrap();
+        let nodes: Vec<NodeId> = (0..7u32).map(NodeId).collect();
+        let want: Vec<Option<i64>> = nodes.iter().map(|&v| reference.read(v)).collect();
+        assert_eq!(
+            eng.read_batch(&nodes).unwrap(),
+            want,
+            "expired by new owners"
+        );
         eng.shutdown();
     }
 

@@ -5,7 +5,7 @@
 //!
 //! * [`LockedStore`] — one `RwLock` per PAO, the paper's "explicit
 //!   synchronization" choice. Backs the single-threaded
-//!   [`Engine`](crate::Engine) and the two-pool
+//!   [`EngineCore`](crate::EngineCore) and the two-pool
 //!   [`ParallelEngine`](crate::ParallelEngine), whose write pool lets any
 //!   worker touch any PAO.
 //! * [`ShardedStore`] — PAOs partitioned into shard slabs, each behind one

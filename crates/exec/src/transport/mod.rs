@@ -4,10 +4,10 @@
 //! `Box<dyn ShardTransport<A>>` instead of concrete channel vectors. Two
 //! implementations exist:
 //!
-//! * **In-process** (the default, [`TransportKind::InProcess`]): the
-//!   original crossbeam bounded-channel mesh. One worker thread per shard
-//!   in this address space; zero serialization, bounded-channel
-//!   backpressure, byte-for-byte the pre-trait behavior.
+//! * **In-process** (the default, [`TransportKind::InProcess`]): a
+//!   crossbeam bounded-channel mesh. One worker thread per shard in this
+//!   address space, all sharing the coordinator's core; zero
+//!   serialization, bounded-channel backpressure.
 //! * **Multi-process** ([`TransportKind::Process`], Unix only): each shard
 //!   runs in its own `eagr-shard-host` OS process, connected to the
 //!   coordinator by a Unix-domain socket speaking the length-prefixed
@@ -23,12 +23,16 @@
 //!
 //! The **data plane** (writes, deltas, shard-executed reads, window
 //! expiration) flows through [`ShardTransport::send`] in both modes. The
-//! **state plane** — PAO/window state fetch + install for live migration,
-//! observed-counter collection for rebalancing, plan swaps for topology
-//! epochs, compaction — only exists over the socket transport (the
-//! in-process engine touches its shared store directly) and is expressed
-//! as synchronous request/reply methods that default to
-//! [`TransportError::Unsupported`].
+//! **state plane** — relaxed reads, PAO/window state pull and publish for
+//! rebuilds and topology epochs, slot moves for fenced migration,
+//! observed-counter collection for rebalancing, compaction — is a set of
+//! synchronous methods that every transport implements and the engine
+//! calls unconditionally. Each takes the coordinator's core, and the one
+//! decision that differs between transports lives behind them: in-process
+//! the coordinator core *is* the live state (workers share its store), so
+//! the methods work on it directly; over sockets it is a stale mirror of
+//! the hosts (plan and map are current, PAO/window state is not), so the
+//! methods become request/reply exchanges with the hosts.
 //!
 //! Every method is fallible: a dead peer process surfaces as a
 //! [`TransportError`] through the engine's `Result` APIs, never a panic or
@@ -40,11 +44,10 @@ pub mod host;
 #[cfg(unix)]
 pub mod process;
 
-use crate::core::EngineState;
-use crate::sharded::ShardMsg;
-use eagr_agg::{Aggregate, WindowBuffer, WindowSpec};
-use eagr_flow::Decisions;
-use eagr_overlay::Overlay;
+use crate::sharded::{LivePartition, ShardMsg, ShardedCore};
+use eagr_agg::{Aggregate, WindowBuffer};
+use eagr_graph::NodeId;
+use eagr_overlay::OverlayId;
 use std::sync::Arc;
 
 /// Which transport a [`crate::ShardedConfig`] launches the shard mesh on.
@@ -78,9 +81,9 @@ pub enum TransportError {
     Io(String),
     /// A frame failed to encode or decode.
     Codec(String),
-    /// The operation is not supported by this transport (state-plane calls
-    /// on the in-process transport, or launching a process transport for
-    /// an aggregate without wire hooks).
+    /// The operation is not supported by this transport (a migration-
+    /// protocol message sent over sockets, or launching a process
+    /// transport for an aggregate without wire hooks).
     Unsupported(&'static str),
 }
 
@@ -124,24 +127,6 @@ impl From<eagr_util::wire::WireError> for TransportError {
 /// window buffer when the slot is a writer)`.
 pub type SlotState<A> = (u32, <A as Aggregate>::Partial, Option<WindowBuffer>);
 
-/// Everything a shard host needs to take over a new topology epoch
-/// ([`ShardTransport::swap_plan`]): the rebuilt overlay/decision/map triple
-/// plus the slice of engine state the receiving shard owns under the new
-/// map.
-pub struct PlanUpdate<A: Aggregate> {
-    /// The repaired overlay (ids append-only).
-    pub overlay: Arc<Overlay>,
-    /// Push/pull decisions covering every overlay id.
-    pub decisions: Decisions,
-    /// Window semantics (fixed for the engine's lifetime).
-    pub window: WindowSpec,
-    /// The full node→shard map under the new topology.
-    pub map: Vec<u32>,
-    /// Carried state for the slots the receiving shard owns (all other
-    /// entries `None`).
-    pub state: EngineState<A::Partial>,
-}
-
 /// The communication backend of one [`crate::ShardedEngine`].
 ///
 /// Implementations own the shard peers (worker threads or host processes)
@@ -153,8 +138,8 @@ pub struct PlanUpdate<A: Aggregate> {
 /// decrement directly; the socket pump decrements on `Applied` frames,
 /// having first re-incremented for each forwarded delta batch).
 pub trait ShardTransport<A: Aggregate>: Send + Sync {
-    /// Which kind of transport this is (the engine branches its state
-    /// plane on it).
+    /// Which kind of transport this is (the engine picks its migration
+    /// protocol by it: the two-phase concurrent copy needs shared memory).
     fn kind(&self) -> TransportKind;
 
     /// Number of shard peers.
@@ -185,72 +170,80 @@ pub trait ShardTransport<A: Aggregate>: Send + Sync {
         Vec::new()
     }
 
-    // --- state plane (socket transport only) ---------------------------
+    // --- state plane ---------------------------------------------------
+    //
+    // `core` and `map` are the coordinator's current core and node→shard
+    // map. In-process they are the live state; over sockets they are a
+    // stale mirror of the hosts' PAO/window state.
 
-    /// Fetch clones of the listed slots' PAO partials from `shard`.
-    fn fetch_paos(
+    /// Evaluate `nodes`' reads on the calling thread (relaxed, like
+    /// [`crate::EngineCore::read`]): result `i` answers `nodes[i]`.
+    fn read_here(
         &self,
-        _shard: usize,
-        _slots: &[u32],
-    ) -> Result<Vec<(u32, A::Partial)>, TransportError> {
-        Err(TransportError::Unsupported("fetch_paos"))
-    }
+        core: &ShardedCore<A>,
+        map: &LivePartition,
+        nodes: &[NodeId],
+    ) -> Result<Vec<Option<A::Output>>, TransportError>;
+
+    /// Whether the peer owning reader `rid` can evaluate it. An in-process
+    /// worker reads foreign slabs directly; a host holds only its own
+    /// slots, so a pull tree that may cross shards is left to
+    /// [`read_here`](Self::read_here).
+    fn peer_serves_read(&self, core: &ShardedCore<A>, rid: OverlayId) -> bool;
+
+    /// Bring `core`'s PAO/window state up to date with the peers, so that
+    /// exporting it carries reality. Call on a drained engine.
+    fn pull_state(&self, core: &ShardedCore<A>) -> Result<(), TransportError>;
+
+    /// Hand every peer `core`'s plan and state under `map`: the new core
+    /// of a topology epoch, or a freshly seeded one. Peers may still be
+    /// settling when this returns; drain before the next fence ends.
+    fn publish(
+        &self,
+        core: &Arc<ShardedCore<A>>,
+        map: &Arc<LivePartition>,
+    ) -> Result<(), TransportError>;
 
     /// Fetch the listed slots' full migratable state (PAO + window) from
-    /// `shard`.
+    /// their owner `shard`.
     fn fetch_slots(
         &self,
-        _shard: usize,
-        _slots: &[u32],
-    ) -> Result<Vec<SlotState<A>>, TransportError> {
-        Err(TransportError::Unsupported("fetch_slots"))
-    }
+        core: &ShardedCore<A>,
+        shard: usize,
+        slots: &[u32],
+    ) -> Result<Vec<SlotState<A>>, TransportError>;
 
     /// Install migrated slots at their new owner `shard` (relocates each
     /// slot into the shard's slab and installs carried window state).
     fn install_slots(
         &self,
-        _shard: usize,
-        _slots: Vec<SlotState<A>>,
-    ) -> Result<(), TransportError> {
-        Err(TransportError::Unsupported("install_slots"))
-    }
+        core: &ShardedCore<A>,
+        shard: usize,
+        slots: Vec<SlotState<A>>,
+    ) -> Result<(), TransportError>;
 
-    /// Broadcast node→shard map updates (`(slot, new shard)` pairs) to
-    /// every peer; each recomputes its window-expiration writer set.
-    fn map_update(&self, _pairs: &[(u32, u32)]) -> Result<(), TransportError> {
-        Err(TransportError::Unsupported("map_update"))
-    }
+    /// Tell every peer that the listed `(slot, new shard)` pairs of `map`
+    /// moved, so each re-derives the writers whose windows it expires.
+    /// Peers may still be settling when this returns; drain afterwards.
+    fn map_update(
+        &self,
+        core: &Arc<ShardedCore<A>>,
+        map: &Arc<LivePartition>,
+        pairs: &[(u32, u32)],
+    ) -> Result<(), TransportError>;
 
-    /// Export `shard`'s full engine state (entries only for slots it
-    /// owns) — the topology-epoch resync path.
-    fn fetch_state(&self, _shard: usize) -> Result<EngineState<A::Partial>, TransportError> {
-        Err(TransportError::Unsupported("fetch_state"))
-    }
+    /// Observed `(push, pull)` counters, summed element-wise over peers.
+    fn observed_counts(
+        &self,
+        core: &ShardedCore<A>,
+    ) -> Result<(Vec<u64>, Vec<u64>), TransportError>;
 
-    /// Install a new topology plan + owned-state slice at `shard`
-    /// (topology epoch).
-    fn swap_plan(&self, _shard: usize, _plan: &PlanUpdate<A>) -> Result<(), TransportError> {
-        Err(TransportError::Unsupported("swap_plan"))
-    }
+    /// Decay the observed counters by `factor`.
+    fn decay_observed(&self, core: &ShardedCore<A>, factor: f64) -> Result<(), TransportError>;
 
-    /// Element-wise sum of every peer's observed `(push, pull)` counters.
-    fn observed_counts(&self) -> Result<(Vec<u64>, Vec<u64>), TransportError> {
-        Err(TransportError::Unsupported("observed_counts"))
-    }
+    /// Compact the PAO slabs; returns total slots reclaimed.
+    fn compact(&self, core: &ShardedCore<A>) -> Result<u64, TransportError>;
 
-    /// Decay every peer's observed counters by `factor`.
-    fn decay_observed(&self, _factor: f64) -> Result<(), TransportError> {
-        Err(TransportError::Unsupported("decay_observed"))
-    }
-
-    /// Compact every peer's slabs; returns total slots reclaimed.
-    fn compact_shards(&self) -> Result<u64, TransportError> {
-        Err(TransportError::Unsupported("compact_shards"))
-    }
-
-    /// Total orphaned slab slots across every peer.
-    fn orphaned_slots(&self) -> Result<u64, TransportError> {
-        Err(TransportError::Unsupported("orphaned_slots"))
-    }
+    /// Total orphaned slab slots.
+    fn orphaned_slots(&self, core: &ShardedCore<A>) -> Result<u64, TransportError>;
 }

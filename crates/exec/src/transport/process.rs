@@ -38,14 +38,16 @@
 //! the drain spin (which polls [`ShardTransport::healthy`]).
 
 use super::codec::{host_msg_from, wire_msg_bytes, HostMsg, InitHeader, WireMsg, WirePlan};
-use super::{PlanUpdate, ShardTransport, SlotState, TransportError, TransportKind};
+use super::{ShardTransport, SlotState, TransportError, TransportKind};
 use crate::core::EngineState;
-use crate::sharded::{ReadReplies, ShardMsg, ShardedCore};
+use crate::sharded::{LivePartition, ReadReplies, ShardMsg, ShardedCore};
+use crate::store::PaoReader;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use eagr_agg::{Aggregate, WindowSpec, WireHooks};
-use eagr_graph::Partition;
+use eagr_graph::{NodeId, Partition};
+use eagr_overlay::OverlayId;
 use eagr_util::wire::{read_frame, write_frame, Wire};
-use eagr_util::FastMap;
+use eagr_util::{FastMap, FastSet};
 use parking_lot::Mutex;
 use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -369,6 +371,18 @@ impl<A: Aggregate> ProcessTransport<A> {
             })
         })
     }
+
+    /// Send one `Num`-answered request to every host and sum the replies.
+    fn sum_over_hosts(&self, build: impl Fn(u64) -> WireMsg<A>) -> Result<u64, TransportError> {
+        let mut total = 0u64;
+        for shard in 0..self.peers.len() {
+            match self.request(shard, &build)? {
+                HostMsg::Num { value, .. } => total += value,
+                other => return Err(unexpected("Num", &other)),
+            }
+        }
+        Ok(total)
+    }
 }
 
 impl<A: Aggregate> ShardTransport<A> for ProcessTransport<A> {
@@ -428,14 +442,9 @@ impl<A: Aggregate> ShardTransport<A> for ProcessTransport<A> {
                      fenced (fetch_slots/install_slots)",
                 ))
             }
-            ShardMsg::Adopt(_) => {
-                return Err(TransportError::Unsupported(
-                    "Adopt never crosses the socket; map_update hands expiration ownership over",
-                ))
-            }
             ShardMsg::Topo(_) => {
                 return Err(TransportError::Unsupported(
-                    "Topo swaps shared Arcs; process-mode topology epochs use swap_plan",
+                    "Topo swaps shared Arcs; the process transport publishes plans with Swap",
                 ))
             }
         };
@@ -478,20 +487,106 @@ impl<A: Aggregate> ShardTransport<A> for ProcessTransport<A> {
         self.peers.iter().map(|p| p.child.lock().id()).collect()
     }
 
-    fn fetch_paos(
+    fn read_here(
         &self,
-        shard: usize,
-        slots: &[u32],
-    ) -> Result<Vec<(u32, A::Partial)>, TransportError> {
-        let slots = slots.to_vec();
-        match self.request(shard, |req_id| WireMsg::FetchPaos { req_id, slots })? {
-            HostMsg::Paos { paos, .. } => Ok(paos),
-            other => Err(unexpected("Paos", &other)),
+        core: &ShardedCore<A>,
+        map: &LivePartition,
+        nodes: &[NodeId],
+    ) -> Result<Vec<Option<A::Output>>, TransportError> {
+        // The coordinator mirror holds no live PAOs: fetch every push PAO
+        // the reads depend on from its owning host, then evaluate here.
+        let mut needed: FastSet<u32> = FastSet::default();
+        for &v in nodes {
+            if let Some(rid) = core.overlay().reader(v) {
+                if core.is_push(rid) {
+                    needed.insert(rid.0);
+                } else {
+                    collect_pull_slots(core, rid, &mut needed);
+                }
+            }
         }
+        let mut by_owner: Vec<Vec<u32>> = vec![Vec::new(); self.peers.len()];
+        for &slot in needed.iter() {
+            by_owner[map.shard_of(slot as usize).idx()].push(slot);
+        }
+        let mut paos: FastMap<u32, A::Partial> = FastMap::default();
+        for (shard, slots) in by_owner.into_iter().enumerate() {
+            if slots.is_empty() {
+                continue;
+            }
+            match self.request(shard, |req_id| WireMsg::FetchPaos { req_id, slots })? {
+                HostMsg::Paos { paos: got, .. } => paos.extend(got),
+                other => return Err(unexpected("Paos", &other)),
+            }
+        }
+        let reader = FetchedPaos {
+            paos,
+            empty: core.aggregate().empty(),
+        };
+        Ok(nodes.iter().map(|&v| core.read_via(v, &reader)).collect())
+    }
+
+    fn peer_serves_read(&self, core: &ShardedCore<A>, rid: OverlayId) -> bool {
+        core.is_push(rid)
+    }
+
+    fn pull_state(&self, core: &ShardedCore<A>) -> Result<(), TransportError> {
+        for shard in 0..self.peers.len() {
+            match self.request(shard, |req_id| WireMsg::FetchState { req_id })? {
+                HostMsg::State { state, .. } => core.install_state(state),
+                other => return Err(unexpected("State", &other)),
+            }
+        }
+        Ok(())
+    }
+
+    fn publish(
+        &self,
+        core: &Arc<ShardedCore<A>>,
+        map: &Arc<LivePartition>,
+    ) -> Result<(), TransportError> {
+        // Hosts can't share the core: ship each one the serialized plan
+        // plus the slice of state it owns under `map`, and let it rebuild
+        // its engine locally.
+        let mut full = core.export_state();
+        let map: Vec<u32> = (0..map.len()).map(|i| map.shard_of(i).0).collect();
+        let decisions = core.decisions();
+        for shard in 0..self.peers.len() {
+            let owned = |i: usize| map.get(i).copied() == Some(shard as u32);
+            let state = EngineState {
+                windows: full
+                    .windows
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, w)| if owned(i) { w.take() } else { None })
+                    .collect(),
+                paos: full
+                    .paos
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, p)| if owned(i) { p.take() } else { None })
+                    .collect(),
+            };
+            let plan = WirePlan {
+                overlay: core.overlay().clone(),
+                decisions: decisions.clone(),
+                map: map.clone(),
+            };
+            match self.request(shard, |req_id| WireMsg::Swap {
+                req_id,
+                plan: Box::new(plan),
+                state: Box::new(state),
+            })? {
+                HostMsg::Ok { .. } => {}
+                other => return Err(unexpected("Ok", &other)),
+            }
+        }
+        Ok(())
     }
 
     fn fetch_slots(
         &self,
+        _core: &ShardedCore<A>,
         shard: usize,
         slots: &[u32],
     ) -> Result<Vec<SlotState<A>>, TransportError> {
@@ -502,14 +597,24 @@ impl<A: Aggregate> ShardTransport<A> for ProcessTransport<A> {
         }
     }
 
-    fn install_slots(&self, shard: usize, slots: Vec<SlotState<A>>) -> Result<(), TransportError> {
+    fn install_slots(
+        &self,
+        _core: &ShardedCore<A>,
+        shard: usize,
+        slots: Vec<SlotState<A>>,
+    ) -> Result<(), TransportError> {
         match self.request(shard, |req_id| WireMsg::InstallSlots { req_id, slots })? {
             HostMsg::Ok { .. } => Ok(()),
             other => Err(unexpected("Ok", &other)),
         }
     }
 
-    fn map_update(&self, pairs: &[(u32, u32)]) -> Result<(), TransportError> {
+    fn map_update(
+        &self,
+        _core: &Arc<ShardedCore<A>>,
+        _map: &Arc<LivePartition>,
+        pairs: &[(u32, u32)],
+    ) -> Result<(), TransportError> {
         for shard in 0..self.peers.len() {
             let pairs = pairs.to_vec();
             match self.request(shard, |req_id| WireMsg::MapSet { req_id, pairs })? {
@@ -520,34 +625,10 @@ impl<A: Aggregate> ShardTransport<A> for ProcessTransport<A> {
         Ok(())
     }
 
-    fn fetch_state(&self, shard: usize) -> Result<EngineState<A::Partial>, TransportError> {
-        match self.request(shard, |req_id| WireMsg::FetchState { req_id })? {
-            HostMsg::State { state, .. } => Ok(state),
-            other => Err(unexpected("State", &other)),
-        }
-    }
-
-    fn swap_plan(&self, shard: usize, plan: &PlanUpdate<A>) -> Result<(), TransportError> {
-        let wire_plan = WirePlan {
-            overlay: (*plan.overlay).clone(),
-            decisions: plan.decisions.clone(),
-            map: plan.map.clone(),
-        };
-        let state = EngineState {
-            windows: plan.state.windows.clone(),
-            paos: plan.state.paos.clone(),
-        };
-        match self.request(shard, |req_id| WireMsg::Swap {
-            req_id,
-            plan: Box::new(wire_plan),
-            state: Box::new(state),
-        })? {
-            HostMsg::Ok { .. } => Ok(()),
-            other => Err(unexpected("Ok", &other)),
-        }
-    }
-
-    fn observed_counts(&self) -> Result<(Vec<u64>, Vec<u64>), TransportError> {
+    fn observed_counts(
+        &self,
+        _core: &ShardedCore<A>,
+    ) -> Result<(Vec<u64>, Vec<u64>), TransportError> {
         let mut pushed: Vec<u64> = Vec::new();
         let mut pulled: Vec<u64> = Vec::new();
         for shard in 0..self.peers.len() {
@@ -576,7 +657,7 @@ impl<A: Aggregate> ShardTransport<A> for ProcessTransport<A> {
         Ok((pushed, pulled))
     }
 
-    fn decay_observed(&self, factor: f64) -> Result<(), TransportError> {
+    fn decay_observed(&self, _core: &ShardedCore<A>, factor: f64) -> Result<(), TransportError> {
         for shard in 0..self.peers.len() {
             match self.request(shard, |req_id| WireMsg::Decay { req_id, factor })? {
                 HostMsg::Ok { .. } => {}
@@ -586,26 +667,40 @@ impl<A: Aggregate> ShardTransport<A> for ProcessTransport<A> {
         Ok(())
     }
 
-    fn compact_shards(&self) -> Result<u64, TransportError> {
-        let mut total = 0u64;
-        for shard in 0..self.peers.len() {
-            match self.request(shard, |req_id| WireMsg::Compact { req_id })? {
-                HostMsg::Num { value, .. } => total += value,
-                other => return Err(unexpected("Num", &other)),
-            }
-        }
-        Ok(total)
+    fn compact(&self, _core: &ShardedCore<A>) -> Result<u64, TransportError> {
+        self.sum_over_hosts(|req_id| WireMsg::Compact { req_id })
     }
 
-    fn orphaned_slots(&self) -> Result<u64, TransportError> {
-        let mut total = 0u64;
-        for shard in 0..self.peers.len() {
-            match self.request(shard, |req_id| WireMsg::Orphans { req_id })? {
-                HostMsg::Num { value, .. } => total += value,
-                other => return Err(unexpected("Num", &other)),
-            }
+    fn orphaned_slots(&self, _core: &ShardedCore<A>) -> Result<u64, TransportError> {
+        self.sum_over_hosts(|req_id| WireMsg::Orphans { req_id })
+    }
+}
+
+/// Collect every **push** PAO slot a pull-decided node transitively reads
+/// from — the slots [`ProcessTransport`] must fetch from the owning hosts
+/// before evaluating the pull tree on the coordinator. Mirrors
+/// [`crate::EngineCore::read_via`]'s recursion without evaluating.
+fn collect_pull_slots<A: Aggregate>(core: &ShardedCore<A>, n: OverlayId, out: &mut FastSet<u32>) {
+    for &(f, _) in core.overlay().inputs(n) {
+        if core.is_push(f) {
+            out.insert(f.0);
+        } else {
+            collect_pull_slots(core, f, out);
         }
-        Ok(total)
+    }
+}
+
+/// A [`PaoReader`] over PAOs fetched from shard hosts; slots outside the
+/// fetched set resolve to the aggregate's empty partial (they only arise
+/// for untouched inputs, whose slab state is also empty).
+struct FetchedPaos<P> {
+    paos: FastMap<u32, P>,
+    empty: P,
+}
+
+impl<P> PaoReader<P> for FetchedPaos<P> {
+    fn with_pao<R>(&self, idx: usize, f: impl FnOnce(&P) -> R) -> R {
+        f(self.paos.get(&(idx as u32)).unwrap_or(&self.empty))
     }
 }
 

@@ -158,10 +158,13 @@ fn topk_parallel_consistency() {
         .overlay(OverlayAlgorithm::Vnmn)
         .decisions(DecisionAlgorithm::AllPush)
         .build(&g);
-    let eng = sys.parallel(ParallelConfig {
-        write_threads: 4,
-        read_threads: 1,
-    });
+    let eng = ParallelEngine::new(
+        sys.core(),
+        ParallelConfig {
+            write_threads: 4,
+            read_threads: 1,
+        },
+    );
     let events = generate_events(
         n,
         &WorkloadConfig {

@@ -8,7 +8,7 @@
 //! * engine ≡ oracle on arbitrary event interleavings.
 
 use eagr::agg::{Aggregate, Count, Distinct, Max, Min, Sum, TopK, WindowBuffer, WindowSpec};
-use eagr::exec::{Engine, EngineCore, RebalancePolicy, ShardedConfig, ShardedEngine};
+use eagr::exec::{EngineCore, RebalancePolicy, ShardedConfig, ShardedEngine};
 use eagr::flow::{decide_maxflow, node_costs, propagate_frequencies, Decisions, Rates};
 use eagr::gen::{batch_events, Event};
 use eagr::graph::{BipartiteGraph, DataGraph, Neighborhood, NodeId, PartitionStrategy};
@@ -237,12 +237,7 @@ proptest! {
             events: &[(u32, i64)],
             batch_size: usize,
         ) {
-            let reference = Engine::from_core(Arc::new(EngineCore::new(
-                agg.clone(),
-                Arc::clone(ov),
-                d,
-                WindowSpec::Tuple(1),
-            )));
+            let reference = EngineCore::new(agg.clone(), Arc::clone(ov), d, WindowSpec::Tuple(1));
             let sharded = ShardedEngine::new(
                 agg,
                 Arc::clone(ov),

@@ -463,3 +463,88 @@ fn killed_host_surfaces_as_transport_error_not_hang() {
     }
     socket.shutdown();
 }
+
+// ---------- facade rebuilds over the socket transport ----------
+
+/// Attach and detach rebuild a stratum's runtime and carry its state
+/// across. Over the socket transport that state lives in the shard hosts,
+/// so it must be pulled from the old hosts and published to the new ones.
+/// Facade differential: `Sharded{2}` over processes against
+/// `SingleThreaded` on the same events, `read_batch` over every node
+/// immediately after each step.
+#[test]
+fn process_attach_and_detach_match_single_threaded() {
+    require_host_binary();
+    let n = 60;
+    let g = social_graph(n, 4, 0xA77AC);
+    let events = generate_events(
+        n,
+        &WorkloadConfig {
+            events: 1500,
+            write_to_read: 1e9,
+            seed: 0xA77AC,
+            ..Default::default()
+        },
+    );
+    let build = |execution: ExecutionMode, transport: TransportKind| {
+        EagrSystem::builder(EgoQuery::new(Sum).filter(|v| v.0 < 40))
+            .execution(execution)
+            .transport(transport)
+            .build(&g)
+    };
+    let single = build(ExecutionMode::SingleThreaded, TransportKind::InProcess);
+    let socket = build(ExecutionMode::Sharded { shards: 2 }, TransportKind::Process);
+    let nodes: Vec<NodeId> = g.nodes().collect();
+    let agree = |step: &str, want: Vec<Option<i64>>, got: Vec<Option<i64>>| {
+        let live = want
+            .iter()
+            .filter(|a| matches!(a, Some(s) if *s != 0))
+            .count();
+        assert!(live > 0, "{step}: the reference answers nothing non-zero");
+        assert_eq!(got, want, "{step}: socket transport diverged");
+    };
+
+    single.ingest(&events);
+    socket.ingest(&events);
+    agree(
+        "before attach",
+        single.read_batch(&nodes),
+        socket.read_batch(&nodes),
+    );
+
+    // (a) An overlapping query extends the primary's stratum in place.
+    let overlap = |v: NodeId| v.0 >= 20;
+    let a_single = single.attach(EgoQuery::new(Sum).filter(overlap));
+    let a_socket = socket.attach(EgoQuery::new(Sum).filter(overlap));
+    assert!(a_socket.attach_report().expect("attached").shared_stratum);
+    agree(
+        "shared attach, primary",
+        single.read_batch(&nodes),
+        socket.read_batch(&nodes),
+    );
+    agree(
+        "shared attach, new handle",
+        a_single.read_batch(&nodes),
+        a_socket.read_batch(&nodes),
+    );
+
+    // (b) A different window compiles a cold stratum seeded from history.
+    let b_single = single.attach(EgoQuery::new(Sum).window(WindowSpec::Tuple(3)));
+    let b_socket = socket.attach(EgoQuery::new(Sum).window(WindowSpec::Tuple(3)));
+    assert!(!b_socket.attach_report().expect("attached").shared_stratum);
+    agree(
+        "cold attach",
+        b_single.read_batch(&nodes),
+        b_socket.read_batch(&nodes),
+    );
+
+    // (c) Detaching the primary retires the readers only it held.
+    let retired = socket.detach(socket.handle()).retired_paos;
+    assert!(retired > 0, "detaching the primary must retire PAOs");
+    single.detach(single.handle());
+    agree(
+        "detach, survivor",
+        a_single.read_batch(&nodes),
+        a_socket.read_batch(&nodes),
+    );
+}
