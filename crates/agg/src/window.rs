@@ -111,14 +111,15 @@ impl WindowBuffer {
     }
 
     /// Record a write at time `now`; expired values are appended to
-    /// `expired`. Timestamps must be non-decreasing across calls.
-    pub fn push(&mut self, now: u64, value: i64, expired: &mut Vec<i64>) {
+    /// `expired` (oldest first). Timestamps must be non-decreasing across
+    /// calls.
+    pub fn push(&mut self, now: u64, value: i64, expired: &mut impl Extend<i64>) {
         debug_assert!(self.buf.back().is_none_or(|&(t, _)| t <= now));
         self.buf.push_back((now, value));
         match self.spec {
             WindowSpec::Tuple(c) => {
                 while self.buf.len() > c.max(1) {
-                    expired.push(self.buf.pop_front().expect("len > c >= 1").1);
+                    expired.extend(self.buf.pop_front().map(|(_, v)| v));
                 }
             }
             WindowSpec::Time(t) => {
@@ -131,8 +132,8 @@ impl WindowBuffer {
     }
 
     /// Advance time without a write (time-based windows only); expired
-    /// values are appended to `expired`.
-    pub fn advance(&mut self, now: u64, expired: &mut Vec<i64>) {
+    /// values are appended to `expired` (oldest first).
+    pub fn advance(&mut self, now: u64, expired: &mut impl Extend<i64>) {
         if let WindowSpec::Time(t) = self.spec {
             if let Some(cutoff) = now.checked_sub(t) {
                 self.expire_before(cutoff, expired);
@@ -140,11 +141,11 @@ impl WindowBuffer {
         }
     }
 
-    fn expire_before(&mut self, cutoff: u64, expired: &mut Vec<i64>) {
+    fn expire_before(&mut self, cutoff: u64, expired: &mut impl Extend<i64>) {
         while let Some(&(t, v)) = self.buf.front() {
             if t <= cutoff {
                 self.buf.pop_front();
-                expired.push(v);
+                expired.extend(Some(v));
             } else {
                 break;
             }

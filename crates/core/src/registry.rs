@@ -193,24 +193,28 @@ struct NodeHistory {
 #[derive(Clone, Debug)]
 pub(crate) struct WriteHistory {
     cap: usize,
-    rings: FastMap<NodeId, NodeHistory>,
+    /// Indexed by [`NodeId`]; grows on demand (node ids are append-only).
+    rings: Vec<NodeHistory>,
 }
 
 impl WriteHistory {
     pub(crate) fn new(cap: usize) -> Self {
         Self {
             cap,
-            rings: FastMap::default(),
+            rings: Vec::new(),
         }
     }
 
-    /// Record one write. `O(1)`; a no-op when backfill is disabled
-    /// (`cap == 0`).
+    /// Record one write. `O(1)` amortized; a no-op when backfill is
+    /// disabled (`cap == 0`).
     pub(crate) fn record(&mut self, v: NodeId, value: i64, ts: u64) {
         if self.cap == 0 {
             return;
         }
-        let h = self.rings.entry(v).or_default();
+        if v.idx() >= self.rings.len() {
+            self.rings.resize_with(v.idx() + 1, NodeHistory::default);
+        }
+        let h = &mut self.rings[v.idx()];
         h.entries.push_back((ts, value));
         if h.entries.len() > self.cap {
             h.entries.pop_front();
@@ -223,7 +227,7 @@ impl WriteHistory {
     /// ring provably retained every write still inside the window.
     pub(crate) fn backfill(&self, v: NodeId, spec: WindowSpec, now: u64) -> (WindowBuffer, bool) {
         let mut buf = WindowBuffer::new(spec);
-        let Some(h) = self.rings.get(&v) else {
+        let Some(h) = self.rings.get(v.idx()) else {
             // Node never written (exact) — or history disabled (cold).
             return (buf, self.cap > 0);
         };

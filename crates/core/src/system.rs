@@ -874,11 +874,12 @@ impl<A: Aggregate> EagrSystem<A> {
     /// Apply a content update (a *write* on `v`) — fans out to **every**
     /// registered query's stratum.
     ///
-    /// Synchronous in single-threaded mode; in [`ExecutionMode::Sharded`] the
-    /// write is routed to its owning shard and drained (one single-event
-    /// epoch) — use [`ingest`](Self::ingest) / [`write_batch`](Self::write_batch)
-    /// for throughput. Returns PAO updates performed where known (0 in
-    /// sharded mode).
+    /// Synchronous in single-threaded mode, as the batch of one of the
+    /// engine's batch kernel ([`EngineCore::write_batch`]); in
+    /// [`ExecutionMode::Sharded`] the write is routed to its owning shard
+    /// and drained (one single-event epoch) — use [`ingest`](Self::ingest)
+    /// / [`write_batch`](Self::write_batch) for throughput. Returns PAO
+    /// updates performed where known (0 in sharded mode).
     pub fn write(&self, v: NodeId, value: i64, ts: u64) -> usize {
         // Keep the ingest clock ahead of explicitly timestamped point
         // writes (same guard as `apply_batch`): a later `ingest` must
@@ -957,6 +958,9 @@ impl<A: Aggregate> EagrSystem<A> {
     /// Expire time-window values across **every** registered query's
     /// stratum. Returns PAO updates performed, summed across strata.
     ///
+    /// In single-threaded mode the sweep's removals propagate as one batch
+    /// ([`EngineCore::advance_time`]): each dirty PAO is updated once.
+    ///
     /// In [`ExecutionMode::Sharded`] the sweep is routed through the shard
     /// inboxes — each owning worker expires its own writers' windows — and
     /// drained as one epoch, so it is safe to call concurrently with
@@ -977,7 +981,8 @@ impl<A: Aggregate> EagrSystem<A> {
     /// for it to be fully applied; returns an [`IngestReport`] of events
     /// executed (each event counted once, however many queries it feeds).
     ///
-    /// * single-threaded — synchronous replay;
+    /// * single-threaded — one batch-kernel call per content run, then
+    ///   the run's reads, evaluated after its writes;
     /// * sharded — one ingestion epoch ([`ShardedEngine::ingest_epoch`]).
     pub fn write_batch(&self, batch: &EventBatch) -> IngestReport
     where
@@ -992,6 +997,11 @@ impl<A: Aggregate> EagrSystem<A> {
     /// returns an [`IngestReport`]. Equivalent to
     /// [`write_batch`](Self::write_batch) with an automatic base
     /// timestamp. The shared stream feeds every registered query.
+    ///
+    /// Only the state at the end of the call is observable. In
+    /// single-threaded mode each content run between topology mutations
+    /// goes through the batch kernel ([`EngineCore::write_batch`]) as one
+    /// batch, and the run's reads are evaluated after its writes.
     pub fn ingest(&self, events: &[Event]) -> IngestReport
     where
         A: Clone,
@@ -1068,21 +1078,29 @@ impl<A: Aggregate> EagrSystem<A> {
                 }
             }
         }
+        // The run's writes as one kernel batch, collected for the first
+        // single-threaded stratum and shared by the rest.
+        let mut writes: Option<Vec<(NodeId, i64, u64)>> = None;
         for st in reg.live() {
             match &st.runtime {
                 Runtime::Local(core) => {
-                    for (i, e) in events.iter().enumerate() {
-                        match *e {
-                            Event::Write { node, value } => {
-                                core.write(node, value, base_ts + i as u64);
-                            }
-                            Event::Read { node } => {
-                                std::hint::black_box(core.read(node));
-                            }
-                            Event::AddEdge { .. }
-                            | Event::RemoveEdge { .. }
-                            | Event::AddNode { .. }
-                            | Event::RemoveNode { .. } => {}
+                    let writes = writes.get_or_insert_with(|| {
+                        (base_ts..)
+                            .zip(events)
+                            .filter_map(|(ts, e)| {
+                                let Event::Write { node, value } = *e else {
+                                    return None;
+                                };
+                                Some((node, value, ts))
+                            })
+                            .collect()
+                    });
+                    core.write_batch(writes);
+                    // Reads inside a run are unobservable: evaluate each
+                    // once, against the post-run state.
+                    for e in events {
+                        if let Event::Read { node } = *e {
+                            std::hint::black_box(core.read(node));
                         }
                     }
                 }

@@ -14,12 +14,20 @@
 //!   rather than under a lock,
 //! * observed push/pull counters per node feeding the adaptive controller.
 //!
-//! A write shifts the writer's window into `Insert`/`Remove` delta ops and
-//! propagates them through push-annotated consumers (negative edges flip
-//! the op, §2.2.1); a read finalizes a push reader's PAO directly or
-//! recursively merges upstream PAOs for pull readers. Reads may observe
-//! slightly stale state under concurrency — the paper explicitly accepts
-//! this ("we ignore the potential for such inconsistencies").
+//! §2.2.2's write flow runs as a level-order batch
+//! ([`EngineCore::write_batch`]; a point write is the batch of one): each
+//! write shifts its writer's window into `Insert`/`Remove` delta ops, the
+//! ops are netted per writer, and the net deltas are propagated through
+//! push-annotated consumers in overlay-level order (negative edges flip
+//! the delta, §2.2.1), so every dirty push PAO is updated once per batch
+//! with one merged delta — the paper's `UPDATE(PAO, PAO_old, PAO_new)`
+//! applied to a whole batch. The queue model
+//! ([`write_local`](EngineCore::write_local) /
+//! [`apply_op`](EngineCore::apply_op)) still moves single ops. A read
+//! finalizes a push reader's PAO directly or recursively merges upstream
+//! PAOs for pull readers. Reads may observe slightly stale state under
+//! concurrency — the paper explicitly accepts this ("we ignore the
+//! potential for such inconsistencies").
 
 use crate::store::{LockedStore, PaoReader, PaoStore, StoreReader};
 use eagr_agg::{Aggregate, DeltaOp, Sign, WindowBuffer, WindowSpec};
@@ -46,10 +54,16 @@ pub struct EngineCore<
     push_flag: Vec<AtomicBool>,
     store: S,
     windows: Vec<Option<Mutex<WindowBuffer>>>,
-    /// Ops applied at each node (observed push activity).
+    /// PAO visits at each node (observed push activity): one per op on
+    /// the queue-model path, one per batch on the batch kernel.
     pushed: Vec<AtomicU64>,
     /// Times each node was read/evaluated (observed pull activity).
     pulled: Vec<AtomicU64>,
+    /// The batch kernel's working set, built by the first
+    /// [`write_batch`](Self::write_batch) or
+    /// [`advance_time`](Self::advance_time). Cores that only serve the
+    /// queue model or shard workers never build it.
+    kernel: Mutex<Option<Kernel<A::Partial>>>,
 }
 
 impl<A: Aggregate> EngineCore<A> {
@@ -101,6 +115,7 @@ impl<A: Aggregate, S: PaoStore<A::Partial>> EngineCore<A, S> {
             windows,
             pushed,
             pulled,
+            kernel: Mutex::new(None),
         }
     }
 
@@ -125,7 +140,7 @@ impl<A: Aggregate, S: PaoStore<A::Partial>> EngineCore<A, S> {
         self.push_flag[n.idx()].load(Ordering::Relaxed)
     }
 
-    /// Record one PAO update at `n` in the observed-push counters. Callers
+    /// Record one PAO visit at `n` in the observed-push counters. Callers
     /// that bypass [`apply_op`](Self::apply_op) by mutating PAOs through a
     /// shard guard must call this per applied op so §4.8 adaptation keeps
     /// seeing true frequencies.
@@ -142,45 +157,50 @@ impl<A: Aggregate, S: PaoStore<A::Partial>> EngineCore<A, S> {
         self.record_push(n);
     }
 
-    /// Process a write at data node `v` fully (uni-thread model): shift the
-    /// window, apply the deltas at the writer, and propagate through every
-    /// push-annotated downstream node. Returns the number of PAO updates
-    /// performed (micro-tasks executed).
+    /// Process a write at data node `v` fully (uni-thread model): the
+    /// batch of one of [`write_batch`](Self::write_batch). Returns the
+    /// number of PAO updates performed.
     pub fn write(&self, v: NodeId, value: i64, ts: u64) -> usize {
-        let Some(wid) = self.overlay.writer(v) else {
-            return 0; // writer feeds no reader: drop the update
-        };
-        let ops = self.window_ops(wid, value, ts);
-        let mut done = 0;
-        let mut stack: Vec<(OverlayId, DeltaOp)> = Vec::with_capacity(8);
-        for op in ops {
-            self.apply_at(wid, op);
-            done += 1;
-            self.fan_out(wid, op, &mut stack);
-            while let Some((n, op)) = stack.pop() {
-                self.apply_at(n, op);
-                done += 1;
-                self.fan_out(n, op, &mut stack);
-            }
-        }
-        done
+        self.write_batch(&[(v, value, ts)])
     }
 
-    /// Shift the writer's window and return the delta ops (insert + any
-    /// expirations). Public so shard-owning workers can ingest windows for
-    /// their own writers; callers must keep per-writer submission order.
-    pub fn window_ops(&self, wid: OverlayId, value: i64, ts: u64) -> Vec<DeltaOp> {
-        let mut expired = Vec::new();
-        let mut win = self.windows[wid.idx()]
+    /// Process a run of `(node, value, ts)` writes as one batch and return
+    /// the number of PAO updates performed. Writes to nodes without a
+    /// writer are dropped. The final state equals applying the writes one
+    /// by one, in order; only the state between them is never built:
+    ///
+    /// 1. each writer's window is shifted in stream order, so the window
+    ///    buffers see every value;
+    /// 2. the ops those shifts emit are netted per writer;
+    /// 3. the pending deltas are propagated in overlay-level order, so each
+    ///    dirty push PAO is visited once: one store access, one
+    ///    [`record_push`](Self::record_push), and one fan-out of its merged
+    ///    delta into its push consumers, sign-flipped on negative edges.
+    pub fn write_batch(&self, writes: &[(NodeId, i64, u64)]) -> usize {
+        let mut guard = self.kernel.lock();
+        let k = guard.get_or_insert_with(|| Kernel::new(&self.agg, &self.overlay));
+        for &(v, value, ts) in writes {
+            let Some(wid) = self.overlay.writer(v) else {
+                continue; // writer feeds no reader: drop the update
+            };
+            k.ops.clear();
+            self.window_ops(wid, value, ts, &mut k.ops);
+            k.load(&self.agg, wid);
+        }
+        self.propagate(k)
+    }
+
+    /// Shift the writer's window and append the delta ops (the insert,
+    /// then any expirations) to `out`. Public so shard-owning workers can
+    /// ingest windows for their own writers; callers must keep per-writer
+    /// submission order.
+    pub fn window_ops(&self, wid: OverlayId, value: i64, ts: u64, out: &mut Vec<DeltaOp>) {
+        out.push(DeltaOp::Insert(value));
+        self.windows[wid.idx()]
             .as_ref()
             .expect("writer has a window")
-            .lock();
-        win.push(ts, value, &mut expired);
-        drop(win);
-        let mut ops = Vec::with_capacity(1 + expired.len());
-        ops.push(DeltaOp::Insert(value));
-        ops.extend(expired.into_iter().map(DeltaOp::Remove));
-        ops
+            .lock()
+            .push(ts, value, &mut Removes(out));
     }
 
     /// Queue-model entry point: ingest the write at the writer node only
@@ -189,7 +209,8 @@ impl<A: Aggregate, S: PaoStore<A::Partial>> EngineCore<A, S> {
         let Some(wid) = self.overlay.writer(v) else {
             return Vec::new();
         };
-        let ops = self.window_ops(wid, value, ts);
+        let mut ops = Vec::with_capacity(2);
+        self.window_ops(wid, value, ts, &mut ops);
         let mut tasks = Vec::new();
         for op in ops {
             self.apply_at(wid, op);
@@ -232,37 +253,67 @@ impl<A: Aggregate, S: PaoStore<A::Partial>> EngineCore<A, S> {
         n
     }
 
-    /// Advance one writer's window to `ts` and return the expirations as
-    /// `Remove` delta ops, *without* applying them. Public so shard-owning
-    /// workers can expire the windows of their own writers and route the
-    /// removals through their shard-local cascade — the caller-thread
-    /// equivalent is [`advance_time`](Self::advance_time).
-    pub fn expire_ops(&self, wid: OverlayId, ts: u64) -> Vec<DeltaOp> {
-        let mut expired = Vec::new();
+    /// Advance one writer's window to `ts` and append the expirations to
+    /// `out` as `Remove` delta ops, *without* applying them. Public so
+    /// shard-owning workers can expire the windows of their own writers
+    /// and route the removals through their shard-local cascade — the
+    /// caller-thread equivalent is [`advance_time`](Self::advance_time).
+    pub fn expire_ops(&self, wid: OverlayId, ts: u64, out: &mut Vec<DeltaOp>) {
         self.windows[wid.idx()]
             .as_ref()
             .expect("writer has a window")
             .lock()
-            .advance(ts, &mut expired);
-        expired.into_iter().map(DeltaOp::Remove).collect()
+            .advance(ts, &mut Removes(out));
     }
 
     /// Advance time to `ts` (time-based windows): expire stale values at
-    /// every writer and propagate the removals. Returns PAO updates done.
+    /// every writer and propagate the removals as one batch (see
+    /// [`write_batch`](Self::write_batch)). Returns PAO updates done.
     pub fn advance_time(&self, ts: u64) -> usize {
-        let mut done = 0;
-        let mut stack = Vec::new();
+        let mut guard = self.kernel.lock();
+        let k = guard.get_or_insert_with(|| Kernel::new(&self.agg, &self.overlay));
         for (wid, _) in self.overlay.writers() {
-            for op in self.expire_ops(wid, ts) {
-                self.apply_at(wid, op);
+            k.ops.clear();
+            self.expire_ops(wid, ts, &mut k.ops);
+            k.load(&self.agg, wid);
+        }
+        self.propagate(k)
+    }
+
+    /// Step 3 of [`write_batch`](Self::write_batch) for whichever delta
+    /// shape the aggregate uses.
+    fn propagate(&self, k: &mut Kernel<A::Partial>) -> usize {
+        match &mut k.plane {
+            Plane::Net(plane) => self.drain(plane, &mut k.sched),
+            Plane::Ops(plane) => self.drain(plane, &mut k.sched),
+        }
+    }
+
+    /// The level-order loop: visit every queued node once, level by
+    /// level, apply its consolidated delta and merge that delta into each
+    /// push consumer (whose level is higher, so it is visited later).
+    fn drain<D: DeltaPlane<A>>(&self, plane: &mut D, s: &mut Schedule) -> usize {
+        let mut done = 0;
+        for level in 0..s.dirty.len() {
+            let mut nodes = std::mem::take(&mut s.dirty[level]);
+            for &n in &nodes {
+                s.queued[n.idx()] = false;
+                let Some(d) = plane.take(&self.agg, n.idx()) else {
+                    continue; // the node's changes cancelled out
+                };
+                self.store.with_mut(n.idx(), |p| D::apply(&self.agg, &d, p));
+                self.record_push(n);
                 done += 1;
-                self.fan_out(wid, op, &mut stack);
-                while let Some((n, op)) = stack.pop() {
-                    self.apply_at(n, op);
-                    done += 1;
-                    self.fan_out(n, op, &mut stack);
+                for &(t, sign) in self.overlay.outputs(n) {
+                    if self.is_push(t) {
+                        plane.add(&self.agg, t.idx(), &d, sign);
+                        s.queue(t);
+                    }
                 }
+                plane.recycle(n.idx(), d);
             }
+            nodes.clear();
+            s.dirty[level] = nodes;
         }
         done
     }
@@ -359,6 +410,10 @@ impl<A: Aggregate, S: PaoStore<A::Partial>> EngineCore<A, S> {
     /// [`reset_observed`](Self::reset_observed): the inputs to §4.8
     /// adaptation. For pull nodes (which receive no pushes) the would-be
     /// push frequency is the sum of their inputs' observed activity.
+    ///
+    /// Push frequencies count PAO visits, not ops: the batch kernel visits
+    /// a dirty PAO once per batch however many ops its merged delta holds,
+    /// while the queue model visits once per op.
     pub fn observed_frequencies(&self) -> Frequencies {
         let n = self.overlay.node_count();
         let mut fh = vec![0.0; n];
@@ -378,11 +433,12 @@ impl<A: Aggregate, S: PaoStore<A::Partial>> EngineCore<A, S> {
         Frequencies { fh, fl }
     }
 
-    /// Per-node applied-op counts since the last
+    /// Per-node PAO-visit counts since the last
     /// [`reset_observed`](Self::reset_observed), indexed by overlay node:
     /// the raw §4.8 observables live shard rebalancing weighs its affinity
-    /// view with (each applied op at `n` is re-emitted along every
-    /// outgoing push edge of `n`).
+    /// view with (each visit at `n` is re-emitted along every outgoing
+    /// push edge of `n`). A visit is one op on the shard and queue-model
+    /// paths and one merged delta on the batch kernel.
     pub fn observed_push_counts(&self) -> Vec<u64> {
         self.pushed
             .iter()
@@ -427,7 +483,8 @@ impl<A: Aggregate, S: PaoStore<A::Partial>> EngineCore<A, S> {
         }
     }
 
-    /// Total PAO updates applied so far (micro-task count).
+    /// Total PAO visits so far (see
+    /// [`observed_frequencies`](Self::observed_frequencies)).
     pub fn total_pushes(&self) -> u64 {
         self.pushed.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
@@ -601,6 +658,235 @@ pub struct EngineState<P> {
     pub paos: Vec<Option<P>>,
 }
 
+/// Adapts an ops buffer to the window buffers' expiry sink: every expired
+/// value becomes a `Remove`.
+struct Removes<'a>(&'a mut Vec<DeltaOp>);
+
+impl Extend<i64> for Removes<'_> {
+    fn extend<I: IntoIterator<Item = i64>>(&mut self, iter: I) {
+        self.0.extend(iter.into_iter().map(DeltaOp::Remove));
+    }
+}
+
+/// The batch kernel's working set: built once per core, left clean (no
+/// node queued, every pending delta empty) between batches.
+struct Kernel<P> {
+    sched: Schedule,
+    plane: Plane<P>,
+    /// Window-shift output of the writer being loaded.
+    ops: Vec<DeltaOp>,
+}
+
+impl<P> Kernel<P> {
+    fn new<A: Aggregate<Partial = P>>(agg: &A, overlay: &Overlay) -> Self {
+        let n = overlay.node_count();
+        let plane = if agg.props().subtractable {
+            Plane::Net(NetPlane {
+                slots: (0..n).map(|_| (agg.empty(), agg.empty())).collect(),
+            })
+        } else {
+            Plane::Ops(OpsPlane {
+                slots: (0..n).map(|_| Vec::new()).collect(),
+            })
+        };
+        Self {
+            sched: Schedule::new(overlay),
+            plane,
+            ops: Vec::with_capacity(4),
+        }
+    }
+
+    /// Steps 1–2 for one writer: net the ops in `self.ops` into its
+    /// pending delta and queue it.
+    fn load<A: Aggregate<Partial = P>>(&mut self, agg: &A, wid: OverlayId) {
+        if self.ops.is_empty() {
+            return;
+        }
+        match &mut self.plane {
+            Plane::Net(plane) => plane.add_ops(agg, wid.idx(), &self.ops),
+            Plane::Ops(plane) => plane.add_ops(agg, wid.idx(), &self.ops),
+        }
+        self.sched.queue(wid);
+    }
+}
+
+/// Which nodes a batch has dirtied, bucketed by level.
+struct Schedule {
+    /// Longest path from a writer to each node. Every edge climbs at least
+    /// one level, so a node's inputs are all visited before it.
+    level: Vec<u32>,
+    /// Whether a node is in `dirty` this batch.
+    queued: Vec<bool>,
+    /// Queued nodes per level.
+    dirty: Vec<Vec<OverlayId>>,
+}
+
+impl Schedule {
+    fn new(overlay: &Overlay) -> Self {
+        let n = overlay.node_count();
+        let mut level = vec![0u32; n];
+        for u in overlay.topo_order() {
+            for &(t, _) in overlay.outputs(u) {
+                level[t.idx()] = level[t.idx()].max(level[u.idx()] + 1);
+            }
+        }
+        let depth = level.iter().max().map_or(0, |&l| l as usize + 1);
+        Self {
+            level,
+            queued: vec![false; n],
+            dirty: vec![Vec::new(); depth],
+        }
+    }
+
+    #[inline]
+    fn queue(&mut self, n: OverlayId) {
+        if !self.queued[n.idx()] {
+            self.queued[n.idx()] = true;
+            self.dirty[self.level[n.idx()] as usize].push(n);
+        }
+    }
+}
+
+/// Per-node pending deltas of one batch, in the aggregate's shape. An op
+/// list is exact for every aggregate, but it grows with the batch and is
+/// sorted at every visit; a partial pair stays one partial per side, so
+/// the aggregates that can `unmerge` use it.
+enum Plane<P> {
+    /// Subtractable aggregates.
+    Net(NetPlane<P>),
+    /// Everything else.
+    Ops(OpsPlane),
+}
+
+/// What the level-order loop needs of a pending-delta representation.
+trait DeltaPlane<A: Aggregate> {
+    /// One node's delta, taken out of the plane while it is applied and
+    /// fanned out.
+    type Delta;
+    /// Add writer `n`'s window ops to its delta.
+    fn add_ops(&mut self, agg: &A, n: usize, ops: &[DeltaOp]);
+    /// Take node `n`'s consolidated delta; `None` if it nets to nothing.
+    fn take(&mut self, agg: &A, n: usize) -> Option<Self::Delta>;
+    /// Apply a delta to a PAO.
+    fn apply(agg: &A, d: &Self::Delta, p: &mut A::Partial);
+    /// Add `d`, crossing an edge of sign `sign`, to node `n`'s delta.
+    fn add(&mut self, agg: &A, n: usize, d: &Self::Delta, sign: Sign);
+    /// Return a taken delta's storage to node `n`'s (now empty) slot.
+    fn recycle(&mut self, n: usize, d: Self::Delta);
+}
+
+/// Subtractable aggregates: a `(pos, neg)` pair of partials per node,
+/// built with `insert` and combined with `merge`. Applying it merges `pos`
+/// before unmerging `neg`, so no intermediate multiplicity goes negative.
+struct NetPlane<P> {
+    slots: Vec<(P, P)>,
+}
+
+impl<A: Aggregate> DeltaPlane<A> for NetPlane<A::Partial> {
+    type Delta = (A::Partial, A::Partial);
+
+    #[inline]
+    fn add_ops(&mut self, agg: &A, n: usize, ops: &[DeltaOp]) {
+        let (pos, neg) = &mut self.slots[n];
+        for &op in ops {
+            match op {
+                DeltaOp::Insert(v) => agg.insert(pos, v),
+                DeltaOp::Remove(v) => agg.insert(neg, v),
+            }
+        }
+    }
+
+    #[inline]
+    fn take(&mut self, agg: &A, n: usize) -> Option<Self::Delta> {
+        Some(std::mem::replace(
+            &mut self.slots[n],
+            (agg.empty(), agg.empty()),
+        ))
+    }
+
+    #[inline]
+    fn apply(agg: &A, (pos, neg): &Self::Delta, p: &mut A::Partial) {
+        agg.merge(p, pos);
+        agg.unmerge(p, neg);
+    }
+
+    #[inline]
+    fn add(&mut self, agg: &A, n: usize, (pos, neg): &Self::Delta, sign: Sign) {
+        let slot = &mut self.slots[n];
+        let (into_pos, into_neg) = match sign {
+            Sign::Pos => (&mut slot.0, &mut slot.1),
+            Sign::Neg => (&mut slot.1, &mut slot.0),
+        };
+        agg.merge(into_pos, pos);
+        agg.merge(into_neg, neg);
+    }
+
+    #[inline]
+    fn recycle(&mut self, _n: usize, _d: Self::Delta) {}
+}
+
+/// Other aggregates: a `(value, multiplicity change)` list per node.
+/// Taking it consolidates it — sorted by value, changes summed, zeros
+/// dropped — so `Insert(x)`/`Remove(x)` pairs cancel; applying it inserts
+/// before it removes.
+struct OpsPlane {
+    slots: Vec<Vec<(i64, i64)>>,
+}
+
+impl<A: Aggregate> DeltaPlane<A> for OpsPlane {
+    type Delta = Vec<(i64, i64)>;
+
+    #[inline]
+    fn add_ops(&mut self, _agg: &A, n: usize, ops: &[DeltaOp]) {
+        self.slots[n].extend(ops.iter().map(|&op| match op {
+            DeltaOp::Insert(v) => (v, 1),
+            DeltaOp::Remove(v) => (v, -1),
+        }));
+    }
+
+    fn take(&mut self, _agg: &A, n: usize) -> Option<Self::Delta> {
+        let mut d = std::mem::take(&mut self.slots[n]);
+        d.sort_unstable_by_key(|&(v, _)| v);
+        d.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
+        d.retain(|&(_, c)| c != 0);
+        if d.is_empty() {
+            self.slots[n] = d;
+            None
+        } else {
+            Some(d)
+        }
+    }
+
+    fn apply(agg: &A, d: &Self::Delta, p: &mut A::Partial) {
+        for &(v, c) in d.iter().filter(|&&(_, c)| c > 0) {
+            for _ in 0..c {
+                agg.insert(p, v);
+            }
+        }
+        for &(v, c) in d.iter().filter(|&&(_, c)| c < 0) {
+            for _ in 0..-c {
+                agg.remove(p, v);
+            }
+        }
+    }
+
+    fn add(&mut self, _agg: &A, n: usize, d: &Self::Delta, sign: Sign) {
+        let flip = if sign.is_negative() { -1 } else { 1 };
+        self.slots[n].extend(d.iter().map(|&(v, c)| (v, c * flip)));
+    }
+
+    fn recycle(&mut self, n: usize, mut d: Self::Delta) {
+        d.clear();
+        self.slots[n] = d;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -666,6 +952,32 @@ mod tests {
         core.write(NodeId(2), 9, 1);
         // Reader a = sum over {c,d,e,f}; only c has written.
         assert_eq!(core.read(NodeId(0)), Some(9));
+    }
+
+    #[test]
+    fn batch_visits_each_dirty_pao_once() {
+        let core = paper_core(Decisions::all_push);
+        let wid = core.overlay().writer(NodeId(2)).unwrap();
+        let readers = core.overlay().outputs(wid).len();
+        // Three writes by one writer: one visit at the writer and one at
+        // each reader it feeds, not one per op.
+        let writes = [(NodeId(2), 6, 0), (NodeId(2), 9, 1), (NodeId(2), 4, 2)];
+        assert_eq!(core.write_batch(&writes), 1 + readers);
+        assert_eq!(core.total_pushes(), (1 + readers) as u64);
+        assert_eq!(core.read(NodeId(0)), Some(4));
+    }
+
+    #[test]
+    fn cancelled_ops_skip_the_cascade() {
+        let ag = BipartiteGraph::build(&paper_example_graph(), &Neighborhood::In, |_| true);
+        let ov = Arc::new(Overlay::direct_from_bipartite(&ag));
+        let d = Decisions::all_push(&ov);
+        let core = EngineCore::new(eagr_agg::Max, ov, &d, WindowSpec::Tuple(1));
+        core.write(NodeId(2), 6, 0);
+        // Under a one-tuple window, rewriting the same value is
+        // `Insert(6)` + `Remove(6)`: the op list nets to nothing.
+        assert_eq!(core.write(NodeId(2), 6, 1), 0);
+        assert_eq!(core.read(NodeId(0)), Some(Some(6)));
     }
 
     #[test]

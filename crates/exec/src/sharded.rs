@@ -1856,6 +1856,8 @@ impl<A: Aggregate> ShardWorker<A> {
         // Per-destination-shard outboxes, reused across messages.
         let mut outbox: Vec<Vec<(OverlayId, DeltaOp)>> = vec![Vec::new(); shards];
         let mut stack: Vec<(OverlayId, DeltaOp)> = Vec::with_capacity(32);
+        // Window-shift output, reused across writes.
+        let mut ops: Vec<DeltaOp> = Vec::with_capacity(4);
         let mut stopping = false;
         while !stopping {
             let Ok(msg) = self.rx.recv() else { break };
@@ -1864,7 +1866,7 @@ impl<A: Aggregate> ShardWorker<A> {
             // shipped — so `pending` can never hit zero while deltas sit
             // in an outbox.
             let mut owed = 0u64;
-            stopping = self.handle(msg, &mut owed, &mut stack, &mut outbox);
+            stopping = self.handle(msg, &mut owed, &mut stack, &mut outbox, &mut ops);
             // Ship every outbox batch without ever blocking on a full
             // peer inbox: two workers blocked sending to each other's
             // full queues would deadlock, so on backpressure this worker
@@ -1905,7 +1907,7 @@ impl<A: Aggregate> ShardWorker<A> {
                 }
                 match self.rx.try_recv() {
                     Ok(m) => {
-                        if self.handle(m, &mut owed, &mut stack, &mut outbox) {
+                        if self.handle(m, &mut owed, &mut stack, &mut outbox, &mut ops) {
                             stopping = true;
                         }
                     }
@@ -1925,6 +1927,7 @@ impl<A: Aggregate> ShardWorker<A> {
         owed: &mut u64,
         stack: &mut Vec<(OverlayId, DeltaOp)>,
         outbox: &mut [Vec<(OverlayId, DeltaOp)>],
+        ops: &mut Vec<DeltaOp>,
     ) -> bool {
         match msg {
             ShardMsg::Writes(group) => {
@@ -1932,7 +1935,9 @@ impl<A: Aggregate> ShardWorker<A> {
                 let core = Arc::clone(&self.core);
                 let mut slab = core.store().lock_shard(self.shard);
                 for (wid, value, ts) in group {
-                    for op in core.window_ops(wid, value, ts) {
+                    ops.clear();
+                    core.window_ops(wid, value, ts, ops);
+                    for &op in ops.iter() {
                         stack.push((wid, op));
                         self.cascade(&mut slab, stack, outbox);
                     }
@@ -1986,7 +1991,9 @@ impl<A: Aggregate> ShardWorker<A> {
                 let mut slab = core.store().lock_shard(self.shard);
                 let writers = self.writers.clone();
                 for wid in writers {
-                    for op in core.expire_ops(wid, ts) {
+                    ops.clear();
+                    core.expire_ops(wid, ts, ops);
+                    for &op in ops.iter() {
                         stack.push((wid, op));
                         self.cascade(&mut slab, stack, outbox);
                     }

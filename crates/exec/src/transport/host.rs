@@ -104,6 +104,8 @@ fn run<A: Aggregate + Clone>(
         .map_err(|e| format!("handshake ack: {e}"))?;
     let mut stack: Vec<(OverlayId, DeltaOp)> = Vec::with_capacity(32);
     let mut outbox: Vec<Vec<(OverlayId, DeltaOp)>> = vec![Vec::new(); worker.shards];
+    // Window-shift output, reused across writes.
+    let mut ops: Vec<DeltaOp> = Vec::with_capacity(4);
     loop {
         let payload = match read_frame(&mut stream) {
             Ok(Some(p)) => p,
@@ -115,7 +117,7 @@ fn run<A: Aggregate + Clone>(
         let msg =
             wire_msg_from::<A>(&payload, &worker.hooks).map_err(|e| format!("bad frame: {e}"))?;
         if !worker
-            .handle(&mut stream, msg, &mut stack, &mut outbox)
+            .handle(&mut stream, msg, &mut stack, &mut outbox, &mut ops)
             .map_err(|e| format!("socket write: {e}"))?
         {
             return Ok(());
@@ -212,6 +214,7 @@ impl<A: Aggregate + Clone> HostWorker<A> {
         msg: WireMsg<A>,
         stack: &mut Vec<(OverlayId, DeltaOp)>,
         outbox: &mut [Vec<(OverlayId, DeltaOp)>],
+        ops: &mut Vec<DeltaOp>,
     ) -> std::io::Result<bool> {
         match msg {
             WireMsg::Writes(group) => {
@@ -219,7 +222,9 @@ impl<A: Aggregate + Clone> HostWorker<A> {
                 {
                     let mut slab = self.core.store().lock_shard(self.shard);
                     for (wid, value, ts) in group {
-                        for op in self.core.window_ops(wid, value, ts) {
+                        ops.clear();
+                        self.core.window_ops(wid, value, ts, ops);
+                        for &op in ops.iter() {
                             stack.push((wid, op));
                             self.cascade(&mut slab, stack, outbox, &mut local);
                         }
@@ -294,7 +299,9 @@ impl<A: Aggregate + Clone> HostWorker<A> {
                     let mut slab = self.core.store().lock_shard(self.shard);
                     let writers = self.writers.clone();
                     for wid in writers {
-                        for op in self.core.expire_ops(wid, ts) {
+                        ops.clear();
+                        self.core.expire_ops(wid, ts, ops);
+                        for &op in ops.iter() {
                             stack.push((wid, op));
                             self.cascade(&mut slab, stack, outbox, &mut local);
                         }

@@ -5,9 +5,11 @@
 //! * overlay construction preserves net contribution on arbitrary bipartite
 //!   graphs,
 //! * min-cut decisions valid + optimal vs brute force on arbitrary DAGs,
-//! * engine ≡ oracle on arbitrary event interleavings.
+//! * engine ≡ oracle on arbitrary event interleavings,
+//! * the batch kernel ≡ oracle at every `ingest` boundary, and applies at
+//!   most half the PAO updates of a per-op replay.
 
-use eagr::agg::{Aggregate, Count, Distinct, Max, Min, Sum, TopK, WindowBuffer, WindowSpec};
+use eagr::agg::{Aggregate, Avg, Count, Distinct, Max, Min, Sum, TopK, WindowBuffer, WindowSpec};
 use eagr::exec::{EngineCore, RebalancePolicy, ShardedConfig, ShardedEngine};
 use eagr::flow::{decide_maxflow, node_costs, propagate_frequencies, Decisions, Rates};
 use eagr::gen::{batch_events, Event};
@@ -40,6 +42,10 @@ fn check_against_multiset<A: Aggregate>(
     }
     assert_eq!(agg.finalize(&p), model_finalize(&model));
 }
+
+/// One `ingest` run of the batch-kernel differential: its events as
+/// `(kind, node, value)`, what follows it, and the point write's operands.
+type KernelRun = (Vec<(u8, u32, i64)>, u8, (u32, i64));
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -713,6 +719,99 @@ proptest! {
         }
         let _ = Event::Read { node: NodeId(0) };
     }
+
+    #[test]
+    fn batch_kernel_equals_oracle_at_every_ingest_boundary(
+        seed in 0u64..200,
+        agg_pick in 0usize..7,
+        window_pick in 0usize..4,
+        // Per run: its events (kind, node, value), then what follows it —
+        // 0 nothing, 1 a point write, 2 `advance_time`. Few hot nodes and
+        // few values, so writers repeat within a run and ops cancel.
+        runs in proptest::collection::vec(
+            (
+                proptest::collection::vec((0u8..3, 0u32..12, -3i64..4), 1..48),
+                0u8..3,
+                (0u32..30, -3i64..4),
+            ),
+            1..10,
+        ),
+    ) {
+        fn check<A: Aggregate + Clone>(
+            agg: A,
+            window: WindowSpec,
+            seed: u64,
+            runs: &[KernelRun],
+        ) {
+            let g = eagr::gen::social_graph(30, 3, seed);
+            // Negative edges where the aggregate subtracts, duplicate
+            // paths where it tolerates them.
+            let overlay = if agg.props().subtractable {
+                OverlayAlgorithm::Vnmn
+            } else {
+                OverlayAlgorithm::Vnmd
+            };
+            let sys = EagrSystem::builder(EgoQuery::new(agg.clone()).window(window))
+                .overlay(overlay)
+                .execution(ExecutionMode::SingleThreaded)
+                .build(&g);
+            let mut oracle = NaiveOracle::new(agg, window, Neighborhood::In);
+            let mut clock = 0u64;
+            for (events, after, (node, value)) in runs {
+                let stream: Vec<Event> = events
+                    .iter()
+                    .map(|&(kind, n, v)| {
+                        let node = NodeId(n);
+                        if kind == 0 {
+                            Event::Read { node }
+                        } else {
+                            Event::Write { node, value: v }
+                        }
+                    })
+                    .collect();
+                sys.ingest(&stream);
+                for e in &stream {
+                    if let Event::Write { node, value } = *e {
+                        oracle.write(node, value, clock);
+                    }
+                    clock += 1;
+                }
+                match after {
+                    1 => {
+                        sys.write(NodeId(*node), *value, clock);
+                        oracle.write(NodeId(*node), *value, clock);
+                        clock += 1;
+                    }
+                    2 => {
+                        sys.advance_time(clock);
+                        oracle.advance_time(clock);
+                    }
+                    _ => {}
+                }
+                for v in (0..30).map(NodeId) {
+                    if let Some(got) = sys.read(v) {
+                        assert_eq!(got, oracle.read(&g, v), "node {v:?}, {window:?}");
+                    }
+                }
+            }
+        }
+
+        let window = match window_pick {
+            0 => WindowSpec::Tuple(1),
+            1 => WindowSpec::Tuple(3),
+            2 => WindowSpec::Time(8),
+            _ => WindowSpec::Unbounded,
+        };
+        match agg_pick {
+            0 => check(Sum, window, seed, &runs),
+            1 => check(Count, window, seed, &runs),
+            2 => check(Avg, window, seed, &runs),
+            3 => check(Max, window, seed, &runs),
+            4 => check(Min, window, seed, &runs),
+            5 => check(TopK::new(2), window, seed, &runs),
+            _ => check(Distinct, window, seed, &runs),
+        }
+    }
 }
 
 // ---------- deterministic structural checks ----------
@@ -740,4 +839,65 @@ fn empty_graph_edge_cases() {
         assert_eq!(sys.read(NodeId(v)), None, "no neighborhoods, no readers");
     }
     assert_eq!(sys.write(NodeId(0), 1, 0), 0);
+}
+
+/// The batch kernel's exact-count witness: over 4096-event runs of a Zipf
+/// 1:1 stream, it applies at most half the PAO updates a per-op replay of
+/// the same events does (the queue model: `write_local` + `apply_op`),
+/// and both end with the same answer at every reader.
+#[test]
+fn batch_kernel_applies_at_most_half_of_per_op_replay() {
+    let n = 5_000;
+    let g = eagr::gen::social_graph(n, 7, 11);
+    let ag = BipartiteGraph::build(&g, &Neighborhood::In, |_| true);
+    let props = Sum.props();
+    let (ov, _) = build_vnm(&ag, &VnmConfig::vnma(props));
+    let plan = eagr::flow::plan(
+        ov,
+        &eagr::gen::zipf_rates(n, 1.0, 1.0, 11),
+        &CostModel::unit_sum(),
+        &eagr::flow::PlannerConfig::default(),
+    );
+    let ov = Arc::new(plan.overlay);
+    let kernel = EngineCore::new(Sum, Arc::clone(&ov), &plan.decisions, WindowSpec::Tuple(1));
+    let per_op = EngineCore::new(Sum, Arc::clone(&ov), &plan.decisions, WindowSpec::Tuple(1));
+    let events = eagr::gen::generate_events(
+        n,
+        &eagr::gen::WorkloadConfig {
+            events: 16 * 4096,
+            write_to_read: 1.0,
+            seed: 11,
+            ..Default::default()
+        },
+    );
+    let mut applied = 0;
+    let mut tasks = Vec::new();
+    for (r, run) in events.chunks(4096).enumerate() {
+        let writes: Vec<(NodeId, i64, u64)> = run
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| {
+                let Event::Write { node, value } = *e else {
+                    return None;
+                };
+                Some((node, value, (r * 4096 + i) as u64))
+            })
+            .collect();
+        applied += kernel.write_batch(&writes);
+        for &(v, value, ts) in &writes {
+            tasks.extend(per_op.write_local(v, value, ts));
+            while let Some((node, op)) = tasks.pop() {
+                per_op.apply_op(node, op, &mut tasks);
+            }
+        }
+    }
+    assert_eq!(applied as u64, kernel.total_pushes());
+    let (batched, replayed) = (kernel.total_pushes(), per_op.total_pushes());
+    assert!(
+        2 * batched <= replayed,
+        "kernel applied {batched} PAO updates, per-op replay {replayed}"
+    );
+    for (_, v) in ov.readers() {
+        assert_eq!(kernel.read(v), per_op.read(v), "reader {v:?}");
+    }
 }
