@@ -927,6 +927,8 @@ impl<A: Aggregate> EagrSystem<A> {
     /// gate, no drain, no pause of concurrent ingestion. Between epochs it
     /// may observe partially propagated writes (the relaxed consistency
     /// the paper accepts); after a drain it equals [`read`](Self::read).
+    /// It never reads a superseded topology: a topology epoch patches the
+    /// engine's core in place, and a relaxed read waits out that install.
     /// The right choice for hot polling loops and monitoring probes.
     pub fn read_relaxed(&self, v: NodeId) -> Option<A::Output> {
         let reg = self.inner.registry.read();
@@ -1133,10 +1135,11 @@ impl<A: Aggregate> EagrSystem<A> {
     /// shared graph, repair every stratum's overlay incrementally (§3.3
     /// via [`DynamicOverlay`]), map each repair to a plan delta
     /// ([`topo_plan_delta`] — no planner re-run), and move each runtime
-    /// onto the repaired topology. The sharded engine swaps cores in
+    /// onto the repaired topology. The sharded engine patches its core in
     /// place through [`ShardedEngine::apply_topo`] (workers keep running
     /// across the epoch); single-threaded mode rebuilds and re-seeds from
-    /// carried state.
+    /// carried state. The overlay handed to the engine is a clone that
+    /// shares every copy-on-write chunk the repair did not touch.
     ///
     /// A run costs the region it touches, not the graph: validation applies
     /// each mutation to the live graph under an [`UndoLog`]; each stratum

@@ -505,29 +505,6 @@ impl<A: Aggregate, S: PaoStore<A::Partial>> EngineCore<A, S> {
         }
     }
 
-    /// [`export_state`](Self::export_state) for an engine about to be
-    /// replaced: the window buffers are moved out (fresh empty ones stay
-    /// behind) instead of cloned; PAOs are still cloned. Reads only look at
-    /// PAOs, so a reader still holding this engine answers as before, but
-    /// no write may reach it afterwards.
-    pub fn take_state(&self) -> EngineState<A::Partial> {
-        let windows = self
-            .windows
-            .iter()
-            .map(|w| {
-                w.as_ref().map(|m| {
-                    let mut buf = m.lock();
-                    let empty = WindowBuffer::new(buf.spec());
-                    std::mem::replace(&mut *buf, empty)
-                })
-            })
-            .collect();
-        EngineState {
-            windows,
-            paos: self.export_paos(),
-        }
-    }
-
     fn export_paos(&self) -> Vec<Option<A::Partial>> {
         (0..self.overlay.node_count())
             .map(|i| {
@@ -605,10 +582,12 @@ impl<A: Aggregate, S: PaoStore<A::Partial>> EngineCore<A, S> {
         self.store.with_mut(n.idx(), |p| *p = fresh);
     }
 
-    /// Seed a freshly built engine: install `carried` state, install each
-    /// live backfilled writer's window, then rebuild every push PAO in
-    /// `materialize` or backfilled, in topological order (writers before
-    /// the partials and readers they feed). Returns the PAOs rebuilt.
+    /// Seed a freshly built or freshly patched engine: install `carried`
+    /// state, install each live backfilled writer's window, then rebuild
+    /// every push PAO in `materialize` or backfilled, inputs before the
+    /// nodes that read them. Only that set is ordered, by a walk over the
+    /// members' own inputs, so the cost is the set's fan-in, not the
+    /// overlay's size. Returns the PAOs rebuilt.
     pub fn seed(
         &self,
         carried: Option<EngineState<A::Partial>>,
@@ -618,33 +597,126 @@ impl<A: Aggregate, S: PaoStore<A::Partial>> EngineCore<A, S> {
         if let Some(state) = carried {
             self.install_state(state);
         }
-        let mut backfilled: FastSet<OverlayId> = FastSet::default();
+        let mut rebuild: FastSet<OverlayId> = materialize.clone();
         for (wid, buf) in backfill {
             if !self.overlay.is_retired(*wid) {
                 self.install_window(*wid, buf);
-                backfilled.insert(*wid);
+                rebuild.insert(*wid);
             }
         }
-        if materialize.is_empty() && backfilled.is_empty() {
-            return 0;
-        }
-        let mut rebuilt = 0;
-        for n in self.overlay.topo_order() {
-            if self.overlay.is_retired(n) || !self.is_push(n) {
-                continue;
-            }
-            if !materialize.contains(&n) && !backfilled.contains(&n) {
-                continue;
-            }
+        rebuild.retain(|&n| !self.overlay.is_retired(n) && self.is_push(n));
+        let (order, _) = rebuild_order(&self.overlay, &rebuild, |n| self.is_push(n));
+        for &n in &order {
             if matches!(self.overlay.kind(n), OverlayKind::Writer(_)) {
                 self.rebuild_writer_pao(n);
             } else {
                 self.materialize(n);
             }
-            rebuilt += 1;
         }
-        rebuilt
+        order.len()
     }
+
+    /// Mutable access to the PAO store, for growing it in place during a
+    /// topology patch ([`extend_topology`](Self::extend_topology)).
+    pub fn store_mut(&mut self) -> &mut S {
+        &mut self.store
+    }
+
+    /// Patch this core in place onto `overlay`, an append-only extension
+    /// of the current one (retirements tombstone in place, ids never
+    /// renumber), and return the overlay it replaces:
+    ///
+    /// * the push flags of pre-existing nodes flip only where `decisions`
+    ///   changed them;
+    /// * fresh ids get a window (live writers only) and zeroed observed
+    ///   counters;
+    /// * writers the new overlay retires drop their windows;
+    /// * the batch kernel is discarded and built again on the next batch.
+    ///
+    /// The PAO store is not touched: the caller grows it for the fresh ids
+    /// ([`store_mut`](Self::store_mut)) in whatever placement its backend
+    /// uses, then rebuilds stale PAOs with [`seed`](Self::seed).
+    ///
+    /// # Panics
+    /// Panics if `overlay` has fewer ids than the current overlay or
+    /// `decisions` does not cover it.
+    pub fn extend_topology(
+        &mut self,
+        overlay: Arc<Overlay>,
+        decisions: &Decisions,
+        window: WindowSpec,
+    ) -> Arc<Overlay> {
+        let old_n = self.overlay.node_count();
+        let n = overlay.node_count();
+        assert!(n >= old_n, "overlay ids are append-only");
+        assert_eq!(decisions.of.len(), n, "decisions must cover every node");
+        for (flag, &d) in self.push_flag.iter_mut().zip(&decisions.of) {
+            let push = d == Decision::Push;
+            if *flag.get_mut() != push {
+                *flag.get_mut() = push;
+            }
+        }
+        for (idx, slot) in self.windows.iter_mut().enumerate() {
+            if slot.is_some() && overlay.is_retired(OverlayId(idx as u32)) {
+                *slot = None;
+            }
+        }
+        for idx in old_n..n {
+            let id = OverlayId(idx as u32);
+            self.push_flag
+                .push(AtomicBool::new(decisions.of[idx] == Decision::Push));
+            let writer =
+                !overlay.is_retired(id) && matches!(overlay.kind(id), OverlayKind::Writer(_));
+            self.windows
+                .push(writer.then(|| Mutex::new(WindowBuffer::new(window))));
+            self.pushed.push(AtomicU64::new(0));
+            self.pulled.push(AtomicU64::new(0));
+        }
+        *self.kernel.get_mut() = None;
+        std::mem::replace(&mut self.overlay, overlay)
+    }
+}
+
+/// Order `set` for rebuilding: every member comes after the members its
+/// rebuild reads (its inputs, and through pull inputs the members those
+/// evaluate from). A depth-first walk over inputs that starts only at
+/// members and stops at push nodes outside the set, so it never looks at
+/// the rest of the overlay. Returns the order and the input edges walked;
+/// under valid decisions (a push node's inputs are push) that count is at
+/// most the members' total fan-in.
+fn rebuild_order(
+    overlay: &Overlay,
+    set: &FastSet<OverlayId>,
+    is_push: impl Fn(OverlayId) -> bool,
+) -> (Vec<OverlayId>, usize) {
+    let mut roots: Vec<OverlayId> = set.iter().copied().collect();
+    roots.sort_unstable();
+    let mut order = Vec::with_capacity(roots.len());
+    let mut seen: FastSet<OverlayId> = FastSet::default();
+    let mut walked = 0;
+    let mut stack: Vec<(OverlayId, usize)> = Vec::new();
+    for root in roots {
+        if !seen.insert(root) {
+            continue;
+        }
+        stack.push((root, 0));
+        while let Some(top) = stack.last_mut() {
+            let (n, next) = *top;
+            if let Some(&(f, _)) = overlay.inputs(n).get(next) {
+                top.1 += 1;
+                walked += 1;
+                if (set.contains(&f) || !is_push(f)) && seen.insert(f) {
+                    stack.push((f, 0));
+                }
+            } else {
+                stack.pop();
+                if set.contains(&n) {
+                    order.push(n);
+                }
+            }
+        }
+    }
+    (order, walked)
 }
 
 /// A by-index snapshot of an engine's mutable runtime state (window
@@ -892,6 +964,7 @@ mod tests {
     use super::*;
     use eagr_agg::Sum;
     use eagr_graph::{paper_example_graph, BipartiteGraph, Neighborhood};
+    use eagr_util::FastMap;
 
     fn paper_core(decisions: fn(&Overlay) -> Decisions) -> EngineCore<Sum> {
         let ag = BipartiteGraph::build(&paper_example_graph(), &Neighborhood::In, |_| true);
@@ -1128,5 +1201,50 @@ mod tests {
         assert_eq!(core.read(NodeId(0)), Some(7));
         core.advance_time(100);
         assert_eq!(core.read(NodeId(0)), Some(0));
+    }
+
+    #[test]
+    fn rebuild_order_walks_only_the_rebuilt_set() {
+        // A VNM overlay over a 400-node graph; rebuild a handful of nodes
+        // deep in it. The ordering must respect every input edge inside
+        // the set and look at no more than the set's own fan-in.
+        let g = eagr_gen::social_graph(400, 4, 3);
+        let ag = BipartiteGraph::build(&g, &Neighborhood::In, |_| true);
+        let (ov, _) = eagr_overlay::build_vnm(
+            &ag,
+            &eagr_overlay::VnmConfig::vnma(eagr_agg::Aggregate::props(&Sum)),
+        );
+        let partials: Vec<OverlayId> = ov
+            .ids()
+            .filter(|&n| matches!(ov.kind(n), OverlayKind::Partial))
+            .collect();
+        assert!(!partials.is_empty(), "VNM shares some inputs");
+        // Partials, the readers they feed and a few writers: chains of
+        // members several levels deep.
+        let mut set: FastSet<OverlayId> = FastSet::default();
+        for &p in partials.iter().take(5) {
+            set.insert(p);
+            set.extend(ov.outputs(p).iter().map(|&(t, _)| t));
+            set.extend(ov.inputs(p).iter().take(2).map(|&(f, _)| f));
+        }
+        let (order, walked) = rebuild_order(&ov, &set, |_| true);
+        let fan_in: usize = set.iter().map(|&n| ov.fan_in(n)).sum();
+        assert!(walked <= fan_in, "walked {walked} > fan-in {fan_in}");
+        assert!(walked < ov.edge_count() / 4, "walk stays local");
+        assert_eq!(order.len(), set.len());
+        let pos: FastMap<OverlayId, usize> =
+            order.iter().enumerate().map(|(i, &n)| (n, i)).collect();
+        for &n in &order {
+            for &(f, _) in ov.inputs(n) {
+                if let Some(&pf) = pos.get(&f) {
+                    assert!(pf < pos[&n], "{f:?} feeds {n:?} but comes later");
+                }
+            }
+        }
+        // An empty set walks nothing.
+        assert_eq!(
+            rebuild_order(&ov, &FastSet::default(), |_| true),
+            (Vec::new(), 0)
+        );
     }
 }

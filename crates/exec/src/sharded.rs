@@ -86,7 +86,7 @@ use eagr_graph::{
 };
 use eagr_overlay::{Overlay, OverlayId, PushEdgeView};
 use eagr_util::FastSet;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -559,15 +559,16 @@ pub enum ShardMsg<A: Aggregate> {
         /// Side-log return channel (sized so the send never blocks).
         reply: Sender<SideLogReply>,
     },
-    /// A new core or map, published by the in-process transport's state
-    /// plane (topology epochs, rebuild seeding, map updates after a
-    /// migration — sent under the exclusive epoch gate over a drained
-    /// engine): swap the
-    /// worker's core and routing-map handles and take over the new
-    /// window-expiration writer set. Travels through the same inbox +
-    /// `pending` protocol as every other message, so the topology change
-    /// drains like an epoch — no worker restart, no re-plan.
-    Topo(Arc<TopoSwap<A>>),
+    /// A new map, published by the in-process transport's state plane
+    /// (topology epochs, rebuild seeding, map updates after a migration —
+    /// sent under the exclusive epoch gate over a drained engine): swap
+    /// the worker's routing-map handle and take over the new
+    /// window-expiration writer set. The core needs no swap: a topology
+    /// epoch patches it in place, and workers borrow it per message.
+    /// Travels through the same inbox + `pending` protocol as every other
+    /// message, so the topology change drains like an epoch — no worker
+    /// restart, no re-plan.
+    Topo(Arc<TopoSwap>),
     /// Terminate the worker.
     Stop,
 }
@@ -575,8 +576,7 @@ pub enum ShardMsg<A: Aggregate> {
 /// The payload of a [`ShardMsg::Topo`]: everything a worker holds that a
 /// topology epoch replaces. One `Arc` shared by all shards; each worker
 /// clones its own writer list out of it.
-pub struct TopoSwap<A: Aggregate> {
-    core: Arc<ShardedCore<A>>,
+pub struct TopoSwap {
     partition: Arc<LivePartition>,
     /// Window-expiration ownership under the new map, indexed by shard.
     writers_by_shard: Vec<Vec<OverlayId>>,
@@ -606,6 +606,15 @@ pub struct ShardStats {
 /// The sharded core type: an [`EngineCore`] over shard-slab PAO storage.
 pub type ShardedCore<A> = EngineCore<A, ShardedStore<<A as Aggregate>::Partial>>;
 
+/// The cell holding an engine's one core, shared by the engine and its
+/// in-process workers. Everyone borrows the core through a read guard for
+/// one call or one message; only a topology epoch write-locks the cell,
+/// and it patches the core in place.
+type CoreCell<A> = Arc<RwLock<Arc<ShardedCore<A>>>>;
+
+/// A borrow of the engine's live core ([`ShardedEngine::core`]).
+pub type CoreRef<'a, A> = RwLockReadGuard<'a, Arc<ShardedCore<A>>>;
+
 /// What one [`ShardedEngine::apply_topo`] call changed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TopoEpochReport {
@@ -617,7 +626,9 @@ pub struct TopoEpochReport {
     /// Push nodes whose PAOs were rebuilt before workers resumed (fresh,
     /// upgraded, and repair-dirtied nodes plus backfilled writers).
     pub rematerialized: usize,
-    /// Slab slots orphaned by retirement into the compaction path.
+    /// Slab slots orphaned by this epoch: the slots of pre-existing nodes
+    /// it retired, handed to the compaction path. Ids born and retired
+    /// within the run never get a slab slot.
     pub orphaned_slots: u64,
     /// Orphans reclaimed by the compaction pass piggybacked on this
     /// epoch's fence (0 when below the policy trigger).
@@ -626,11 +637,12 @@ pub struct TopoEpochReport {
 
 /// Shard-owned, batch-ingesting multi-threaded engine.
 pub struct ShardedEngine<A: Aggregate> {
-    /// The live core. Replaced wholesale by a topology epoch
-    /// ([`apply_topo`](Self::apply_topo)) under the exclusive epoch gate;
-    /// every entry point clones the `Arc` once per call, so in-flight work
-    /// always sees one consistent core/map pair.
-    core: RwLock<Arc<ShardedCore<A>>>,
+    /// The live core, one allocation for the engine's lifetime. Entry
+    /// points and workers borrow it through the cell's read lock for one
+    /// call or message; a topology epoch
+    /// ([`apply_topo`](Self::apply_topo)) write-locks it under the fence
+    /// and patches it in place.
+    core: CoreCell<A>,
     /// The live node→shard map, swapped together with the core.
     partition: RwLock<Arc<LivePartition>>,
     window: WindowSpec,
@@ -769,9 +781,10 @@ impl<A: Aggregate> ShardedEngine<A> {
             Arc::new((0..shards).map(|_| AtomicU64::new(0)).collect());
         let local: Arc<Vec<AtomicU64>> = Arc::new((0..shards).map(|_| AtomicU64::new(0)).collect());
         let reads: Arc<Vec<AtomicU64>> = Arc::new((0..shards).map(|_| AtomicU64::new(0)).collect());
+        let cell: CoreCell<A> = Arc::new(RwLock::named(Arc::clone(&core), "core"));
         let transport: Box<dyn ShardTransport<A>> = match cfg.transport {
             TransportKind::InProcess => Box::new(InProcessTransport::launch(
-                Arc::clone(&core),
+                Arc::clone(&cell),
                 Arc::clone(&partition),
                 Arc::clone(&pending),
                 Arc::clone(&cross_out),
@@ -799,8 +812,9 @@ impl<A: Aggregate> ShardedEngine<A> {
                 ))
             }
         };
+        drop(core);
         Ok(Self {
-            core: RwLock::named(core, "core"),
+            core: cell,
             partition: RwLock::named(partition, "partition"),
             window,
             policy: cfg.rebalance,
@@ -820,10 +834,11 @@ impl<A: Aggregate> ShardedEngine<A> {
         })
     }
 
-    /// The shared core (shard-slab storage) — an owned handle, since a
-    /// topology epoch can replace the core under callers holding one.
-    pub fn core(&self) -> Arc<ShardedCore<A>> {
-        Arc::clone(&self.core.read())
+    /// Borrow the live core (shard-slab storage). The borrow holds the
+    /// core cell's read lock: a topology epoch waits for it to drop before
+    /// patching the core, so drop it before calling back into the engine.
+    pub fn core(&self) -> CoreRef<'_, A> {
+        self.core.read()
     }
 
     /// The live node→shard map shared with the workers — an owned handle,
@@ -914,7 +929,7 @@ impl<A: Aggregate> ShardedEngine<A> {
         // live node→shard map only changes under the exclusive gate, so a
         // batch can never be routed with a map that a concurrent rebalance
         // is rewriting, and an epoch-consistent read_batch never
-        // interleaves mid-epoch. Cloning the core/map handles under the
+        // interleaves mid-epoch. Taking the core/map handles under the
         // gate also pins one consistent pair against topology epochs.
         let gate = self.epoch_gate.read();
         let core = self.core();
@@ -974,6 +989,7 @@ impl<A: Aggregate> ShardedEngine<A> {
             }
         }
         let epoch = self.epochs.fetch_add(1, Ordering::Relaxed) + 1;
+        drop(core);
         drop(gate);
         // Automatic §4.8 trigger: the flip re-takes the gate exclusively,
         // so it must run after this epoch's shared hold is released. If
@@ -1017,8 +1033,13 @@ impl<A: Aggregate> ShardedEngine<A> {
 
     /// Evaluate a read on the calling thread. Between
     /// [`drain`](Self::drain)s this may observe partially propagated
-    /// writes (the paper's relaxed consistency). For shard-executed,
-    /// epoch-consistent reads use [`read_batch`](Self::read_batch) /
+    /// writes (the paper's relaxed consistency). It takes no epoch gate,
+    /// so ingestion and migration flips never wait for it; it borrows the
+    /// core for the read, so a topology epoch's in-place install waits
+    /// for it, and it waits out an install in progress — a relaxed read
+    /// sees the topology before or after an epoch, never a half-patched
+    /// core. For shard-executed, epoch-consistent reads use
+    /// [`read_batch`](Self::read_batch) /
     /// [`read_service`](Self::read_service).
     ///
     /// A transport failure (a dead shard host) maps to `None`; call
@@ -1216,22 +1237,29 @@ impl<A: Aggregate> ShardedEngine<A> {
         let Some(flight) = MigrationFlight::begin(self) else {
             return Ok(MigrationReport::skipped(0.0, 0.0));
         };
-        // The single-flight guard keeps topology epochs out, so this pair
-        // stays current for the whole migration.
-        let core = self.core();
-        let (counts, pulls) = self.transport.observed_counts(&core)?;
-        let view =
-            PushEdgeView::observed_with_reads(core.overlay(), |n| core.is_push(n), &counts, &pulls);
+        // The single-flight guard keeps topology epochs out, so this map
+        // stays current for the whole migration. The core borrow ends
+        // before the flip takes the epoch gate.
         let current = self.partition_ref().snapshot();
-        let (refined, stats) = refine_partition(
-            &view,
-            &current,
-            &RefineConfig {
-                balance: self.policy.balance,
-                max_move_fraction: self.policy.max_move_fraction,
-                ..RefineConfig::default()
-            },
-        );
+        let (refined, stats) = {
+            let core = self.core();
+            let (counts, pulls) = self.transport.observed_counts(&core)?;
+            let view = PushEdgeView::observed_with_reads(
+                core.overlay(),
+                |n| core.is_push(n),
+                &counts,
+                &pulls,
+            );
+            refine_partition(
+                &view,
+                &current,
+                &RefineConfig {
+                    balance: self.policy.balance,
+                    max_move_fraction: self.policy.max_move_fraction,
+                    ..RefineConfig::default()
+                },
+            )
+        };
         let committed = stats.moved > 0
             && stats.cut_before > 0.0
             && stats.gain_fraction() >= self.policy.min_cut_gain;
@@ -1247,7 +1275,8 @@ impl<A: Aggregate> ShardedEngine<A> {
         let mut report = flight.execute(moves)?;
         report.cut_before = stats.cut_before;
         report.cut_after = stats.cut_after;
-        self.transport.decay_observed(&core, self.policy.decay)?;
+        self.transport
+            .decay_observed(&self.core(), self.policy.decay)?;
         Ok(report)
     }
 
@@ -1315,43 +1344,56 @@ impl<A: Aggregate> ShardedEngine<A> {
         self.drain()
     }
 
-    /// Apply one **topology epoch**: swap the engine onto a repaired
-    /// overlay + extended decisions without restarting workers or
-    /// re-running the planner.
+    /// Apply one **topology epoch**: move the engine onto a repaired
+    /// overlay + extended decisions without restarting workers, re-running
+    /// the planner, or rebuilding the core.
     ///
     /// `overlay` is the incrementally repaired overlay (ids append-only:
     /// it must extend the current one — retirements tombstone in place,
     /// they never renumber). `decisions` covers every id (see
     /// [`eagr_flow::topo_plan_delta`]); `backfill` carries window history
-    /// for fresh writers; `materialize` is the plan delta's stale-PAO set.
+    /// for fresh writers; `materialize` is the plan delta's stale-PAO set;
+    /// `agg` builds the empty PAOs of fresh slots.
     ///
     /// Protocol: acquire the migration single-flight guard (topology
     /// epochs and live migrations serialize — both rewrite the map), take
     /// the epoch gate exclusively, drain, pull the peers' state into the
-    /// old core ([`ShardTransport::pull_state`]), then
+    /// core ([`ShardTransport::pull_state`]), then
     ///
-    /// 1. take the old core's state: window buffers by move, PAOs by copy
-    ///    ([`EngineCore::take_state`]);
-    /// 2. extend the node→shard map: each fresh node is assigned online by
-    ///    its overlay-neighbor affinity ([`Partition::assign_online`]) —
-    ///    no global re-partition;
-    /// 3. build the new core over fresh slabs and seed it
-    ///    ([`EngineCore::seed`]): carried state, fresh-writer backfill, the
-    ///    `materialize` set rematerialized in topological order;
-    /// 4. tombstone every retired node's slab slot
-    ///    ([`ShardedStore::retire_slot`]) so compaction reclaims it;
-    /// 5. publish the new core/map pair here and to every peer
-    ///    ([`ShardTransport::publish`]: a `ShardMsg::Topo` swap through each
-    ///    worker inbox in-process, a serialized plan plus owned state over
-    ///    sockets) and drain, so when this returns every peer routes
+    /// 1. take `&mut` to the live core: write-lock the core cell and
+    ///    [`Arc::get_mut`] it. Workers and relaxed readers borrow the core
+    ///    only for one message or one read, so under the drained fence
+    ///    nothing else holds it;
+    /// 2. patch it in place ([`EngineCore::extend_topology`]): swap in the
+    ///    new overlay `Arc`, flip the push flags whose decision changed,
+    ///    and grow windows and counters for the fresh ids only;
+    /// 3. extend the node→shard map and the slabs for the fresh ids only:
+    ///    each live fresh node is assigned online by its overlay-neighbor
+    ///    affinity ([`Partition::assign_online`]) and gets an empty slot in
+    ///    that shard's slab ([`ShardedStore::push_slot`]); an id born
+    ///    retired gets a tombstone and no slot;
+    /// 4. tombstone the slab slots of exactly the ids this epoch retired
+    ///    ([`ShardedStore::retire_slot`]) so compaction reclaims them, and
+    ///    rebuild the backfilled writers and the `materialize` set
+    ///    ([`EngineCore::seed`], ordered over that set only);
+    /// 5. publish the new map here and to every peer
+    ///    ([`ShardTransport::publish`]: a `ShardMsg::Topo` map swap through
+    ///    each worker inbox in-process, a serialized plan plus owned state
+    ///    over sockets) and drain, so when this returns every peer routes
     ///    against the new topology.
+    ///
+    /// The core keeps its allocation across the epoch, and the work is the
+    /// fresh and retired ids plus the rebuilt set, not the graph. Over
+    /// sockets the coordinator's core is patched the same way; the hosts
+    /// still receive the whole plan.
     ///
     /// Compaction piggybacks on the fence exactly like a migration flip
     /// when the orphan count clears the policy trigger.
     ///
     /// # Panics
-    /// Panics if `overlay` has fewer ids than the current one or
-    /// `decisions` does not cover it.
+    /// Panics if `overlay` has fewer ids than the current one, if
+    /// `decisions` does not cover it, or if a borrow of the core
+    /// ([`core`](Self::core)) is held across the call.
     pub fn apply_topo(
         &self,
         agg: A,
@@ -1363,69 +1405,54 @@ impl<A: Aggregate> ShardedEngine<A> {
         let flight = MigrationFlight::acquire(self);
         let gate = self.epoch_gate.write();
         self.drain()?;
-        let old_core = self.core();
-        self.transport.pull_state(&old_core)?;
-        let old_partition = self.partition_ref();
-        let old_overlay = old_core.overlay();
-        let old_n = old_overlay.node_count();
+        self.transport.pull_state(&self.core())?;
+        let mut part = self.partition_ref().snapshot();
         let new_n = overlay.node_count();
-        assert!(
-            new_n >= old_n,
-            "overlay ids are append-only: the repaired overlay must extend the current one"
-        );
-        // The old core is replaced below: its window buffers move into the
-        // new core instead of being copied; PAOs are copied, since relaxed
-        // readers may still read the old store until the flip.
-        let carried = old_core.take_state();
-        // Extend the map online: score each fresh node against the shards
-        // of its already-assigned overlay neighbors (LDG-style streaming
-        // assignment) instead of re-partitioning globally.
-        let mut part = old_partition.snapshot();
+        let mut cell = self.core.write();
+        let core = Arc::get_mut(&mut cell)
+            .expect("no borrow of the core outlives a drained, fenced engine");
+        let old_n = core.overlay().node_count();
+        let old = core.extend_topology(Arc::clone(&overlay), decisions, self.window);
+        let store = core.store_mut();
+        let mut retired_nodes = 0usize;
         for idx in old_n..new_n {
             let id = OverlayId(idx as u32);
-            let affinity: Vec<(u32, f32)> = if overlay.is_retired(id) {
-                Vec::new()
-            } else {
-                overlay
-                    .inputs(id)
-                    .iter()
-                    .chain(overlay.outputs(id).iter())
-                    .filter(|&&(nb, _)| nb.idx() < idx)
-                    .map(|&(nb, _)| (nb.0, 1.0))
-                    .collect()
-            };
-            part.assign_online(idx, &affinity);
-        }
-        let store = ShardedStore::new(&part, || agg.empty());
-        let new_core = Arc::new(EngineCore::with_store(
-            agg,
-            Arc::clone(&overlay),
-            decisions,
-            self.window,
-            store,
-        ));
-        let rematerialized = new_core.seed(Some(carried), backfill, materialize);
-        // Tombstone retired slots so compaction sweeps them; the fresh
-        // store re-allocated a slot for every id, including long-retired
-        // ones, so all of them orphan again here.
-        let mut orphaned = 0u64;
-        let mut retired_nodes = 0usize;
-        for idx in 0..new_n {
-            let id = OverlayId(idx as u32);
             if overlay.is_retired(id) {
-                new_core.store().retire_slot(idx);
+                part.assign_online(idx, &[]);
+                store.push_tombstone();
+                retired_nodes += 1;
+                continue;
+            }
+            // Score the fresh node against the shards of its
+            // already-assigned overlay neighbors (LDG-style streaming
+            // assignment) instead of re-partitioning globally.
+            let affinity: Vec<(u32, f32)> = overlay
+                .inputs(id)
+                .iter()
+                .chain(overlay.outputs(id).iter())
+                .filter(|&&(nb, _)| nb.idx() < idx)
+                .map(|&(nb, _)| (nb.0, 1.0))
+                .collect();
+            let shard = part.assign_online(idx, &affinity);
+            store.push_slot(shard, agg.empty());
+        }
+        let mut orphaned = 0u64;
+        for idx in 0..old_n {
+            let id = OverlayId(idx as u32);
+            if overlay.is_retired(id) && !old.is_retired(id) {
+                store.retire_slot(idx);
                 orphaned += 1;
-                if idx >= old_n || !old_overlay.is_retired(id) {
-                    retired_nodes += 1;
-                }
             }
         }
-        let new_partition = Arc::new(LivePartition::new(&part));
-        *self.core.write() = Arc::clone(&new_core);
-        *self.partition.write() = Arc::clone(&new_partition);
-        self.transport.publish(&new_core, &new_partition)?;
+        retired_nodes += orphaned as usize;
+        drop(old);
+        let rematerialized = core.seed(None, backfill, materialize);
+        drop(cell);
+        let partition = Arc::new(LivePartition::new(&part));
+        *self.partition.write() = Arc::clone(&partition);
+        self.transport.publish(&self.core(), &partition)?;
         self.drain()?;
-        let slots_reclaimed = self.compact_if_due(&new_core)?;
+        let slots_reclaimed = self.compact_if_due(&self.core())?;
         drop(gate);
         drop(flight);
         self.topo_epochs.fetch_add(1, Ordering::AcqRel);
@@ -1458,8 +1485,7 @@ impl<A: Aggregate> ShardedEngine<A> {
             return self.execute_migration_fenced(moves);
         }
         // The caller holds the single-flight guard, so topology epochs
-        // cannot replace this pair mid-migration.
-        let core = self.core();
+        // cannot replace this map mid-migration.
         let partition = self.partition_ref();
         // Settle in-flight work so the staged copies start from an epoch
         // boundary; concurrent submitters are not blocked.
@@ -1503,6 +1529,7 @@ impl<A: Aggregate> ShardedEngine<A> {
         // ---- Phase 2: the flip — the only fenced section. ----
         let gate = self.epoch_gate.write();
         self.drain()?;
+        let core = self.core();
         let (log_tx, log_rx) = bounded::<SideLogReply>(self.shard_count());
         for &owner in &involved {
             self.send_counted(
@@ -1551,6 +1578,7 @@ impl<A: Aggregate> ShardedEngine<A> {
         self.transport.map_update(&core, &partition, &pairs)?;
         self.drain()?;
         let slots_reclaimed = self.compact_if_due(&core)?;
+        drop(core);
         drop(gate);
         self.rebalances.fetch_add(1, Ordering::AcqRel);
         self.nodes_migrated
@@ -1582,10 +1610,10 @@ impl<A: Aggregate> ShardedEngine<A> {
         &self,
         moves: Vec<(OverlayId, ShardId)>,
     ) -> Result<MigrationReport, TransportError> {
-        let core = self.core();
-        let partition = self.partition_ref();
         let gate = self.epoch_gate.write();
         self.drain()?;
+        let core = self.core();
+        let partition = self.partition_ref();
         let mut by_owner: Vec<Vec<(OverlayId, ShardId)>> = vec![Vec::new(); self.shard_count()];
         for &(n, dest) in &moves {
             by_owner[partition.shard_of(n.idx()).idx()].push((n, dest));
@@ -1623,6 +1651,7 @@ impl<A: Aggregate> ShardedEngine<A> {
         self.transport.map_update(&core, &partition, &pairs)?;
         self.drain()?;
         let slots_reclaimed = self.compact_if_due(&core)?;
+        drop(core);
         drop(gate);
         self.rebalances.fetch_add(1, Ordering::AcqRel);
         self.nodes_migrated
@@ -1830,7 +1859,9 @@ impl<A: Aggregate> Drop for ShardedEngine<A> {
 
 /// Per-shard worker state.
 struct ShardWorker<A: Aggregate> {
-    core: Arc<ShardedCore<A>>,
+    /// The engine's core cell, borrowed per message — never held between
+    /// messages, so a drained engine can patch the core in place.
+    core: CoreCell<A>,
     partition: Arc<LivePartition>,
     shard: ShardId,
     /// Writer nodes this shard owns (window expiration targets), replaced
@@ -1932,25 +1963,27 @@ impl<A: Aggregate> ShardWorker<A> {
         match msg {
             ShardMsg::Writes(group) => {
                 *owed += 1;
-                let core = Arc::clone(&self.core);
+                let cell = Arc::clone(&self.core);
+                let core = cell.read();
                 let mut slab = core.store().lock_shard(self.shard);
                 for (wid, value, ts) in group {
                     ops.clear();
                     core.window_ops(wid, value, ts, ops);
                     for &op in ops.iter() {
                         stack.push((wid, op));
-                        self.cascade(&mut slab, stack, outbox);
+                        self.cascade(&core, &mut slab, stack, outbox);
                     }
                 }
                 false
             }
             ShardMsg::Deltas(group) => {
                 *owed += 1;
-                let core = Arc::clone(&self.core);
+                let cell = Arc::clone(&self.core);
+                let core = cell.read();
                 let mut slab = core.store().lock_shard(self.shard);
                 for (n, op) in group {
                     stack.push((n, op));
-                    self.cascade(&mut slab, stack, outbox);
+                    self.cascade(&core, &mut slab, stack, outbox);
                 }
                 false
             }
@@ -1963,13 +1996,14 @@ impl<A: Aggregate> ShardWorker<A> {
                 // the only writer of its slab, so snapshotting it cannot
                 // self-deadlock, and foreign access takes exactly one lock
                 // at a time, so no lock cycle can form.
-                let snap = self.core.store().snapshot_shard(self.shard);
+                let core = self.core.read();
+                let snap = core.store().snapshot_shard(self.shard);
                 self.reads[self.shard.idx()].fetch_add(targets.len() as u64, Ordering::AcqRel);
                 match reply {
                     Some(tx) => {
                         let answers: ReadReplies<A> = targets
                             .into_iter()
-                            .map(|(slot, v)| (slot, self.core.read_via(v, &snap)))
+                            .map(|(slot, v)| (slot, core.read_via(v, &snap)))
                             .collect();
                         // A dropped receiver means the requesting thread
                         // gave up (engine shutdown) — nothing to deliver.
@@ -1979,7 +2013,7 @@ impl<A: Aggregate> ShardWorker<A> {
                     None => {
                         // Fire-and-forget reads from a mixed ingest batch.
                         for (_, v) in targets {
-                            std::hint::black_box(self.core.read_via(v, &snap));
+                            std::hint::black_box(core.read_via(v, &snap));
                         }
                     }
                 }
@@ -1987,17 +2021,19 @@ impl<A: Aggregate> ShardWorker<A> {
             }
             ShardMsg::Expire(ts) => {
                 *owed += 1;
-                let core = Arc::clone(&self.core);
+                let cell = Arc::clone(&self.core);
+                let core = cell.read();
                 let mut slab = core.store().lock_shard(self.shard);
-                let writers = self.writers.clone();
-                for wid in writers {
+                let writers = std::mem::take(&mut self.writers);
+                for &wid in &writers {
                     ops.clear();
                     core.expire_ops(wid, ts, ops);
                     for &op in ops.iter() {
                         stack.push((wid, op));
-                        self.cascade(&mut slab, stack, outbox);
+                        self.cascade(&core, &mut slab, stack, outbox);
                     }
                 }
+                self.writers = writers;
                 false
             }
             ShardMsg::Copy { moves, reply } => {
@@ -2009,7 +2045,8 @@ impl<A: Aggregate> ShardWorker<A> {
                 // at a departing node lands in exactly one of copy or log.
                 let mut paos = Vec::with_capacity(moves.len());
                 {
-                    let snap = self.core.store().snapshot_shard(self.shard);
+                    let core = self.core.read();
+                    let snap = core.store().snapshot_shard(self.shard);
                     for &(n, dest) in &moves {
                         paos.push((n, dest, snap.with_pao(n.idx(), |p| p.clone())));
                     }
@@ -2039,10 +2076,9 @@ impl<A: Aggregate> ShardWorker<A> {
             }
             ShardMsg::Topo(up) => {
                 *owed += 1;
-                // Swap onto the rebuilt topology. Any active side-log is
-                // void: a topology epoch serializes with migrations via the
+                // Swap onto the new map. Any active side-log is void: a
+                // topology epoch serializes with migrations via the
                 // single-flight guard, so none can be mid-copy here.
-                self.core = Arc::clone(&up.core);
                 self.partition = Arc::clone(&up.partition);
                 self.writers = up.writers_by_shard[self.shard.idx()].clone();
                 self.side = None;
@@ -2060,11 +2096,11 @@ impl<A: Aggregate> ShardWorker<A> {
     /// copies.
     fn cascade(
         &mut self,
+        core: &ShardedCore<A>,
         slab: &mut crate::store::ShardGuard<'_, A::Partial>,
         stack: &mut Vec<(OverlayId, DeltaOp)>,
         outbox: &mut [Vec<(OverlayId, DeltaOp)>],
     ) {
-        let core = Arc::clone(&self.core);
         let agg = core.aggregate();
         let overlay = core.overlay();
         while let Some((n, op)) = stack.pop() {
@@ -2128,7 +2164,7 @@ impl<A: Aggregate> InProcessTransport<A> {
     /// [`ShardMsg::Stop`]s.
     #[allow(clippy::too_many_arguments)]
     fn launch(
-        core: Arc<ShardedCore<A>>,
+        core: CoreCell<A>,
         partition: Arc<LivePartition>,
         pending: Arc<AtomicU64>,
         cross_out: Arc<Vec<AtomicU64>>,
@@ -2137,7 +2173,7 @@ impl<A: Aggregate> InProcessTransport<A> {
         channel_capacity: usize,
         side_log_bound: usize,
     ) -> Self {
-        let mut writers_by_shard = writers_by_shard(core.overlay(), &partition);
+        let mut writers_by_shard = writers_by_shard(core.read().overlay(), &partition);
         let shards = writers_by_shard.len();
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..shards)
             .map(|_| bounded::<ShardMsg<A>>(channel_capacity))
@@ -2232,12 +2268,12 @@ impl<A: Aggregate> ShardTransport<A> for InProcessTransport<A> {
         core: &Arc<ShardedCore<A>>,
         map: &Arc<LivePartition>,
     ) -> Result<(), TransportError> {
-        // Swap the worker-held handles through the inboxes. Callers hold
-        // the exclusive gate over a drained engine (ingest needs the shared
+        // Swap the worker-held map through the inboxes (workers borrow the
+        // core per message, so it needs no handoff). Callers hold the
+        // exclusive gate over a drained engine (ingest needs the shared
         // gate, epoch reads the exclusive one, migrations the flight
         // guard), so the swap is the only message each worker sees.
         let swap = Arc::new(TopoSwap {
-            core: Arc::clone(core),
             partition: Arc::clone(map),
             writers_by_shard: writers_by_shard(core.overlay(), map),
         });
@@ -3116,6 +3152,7 @@ mod tests {
         dirty.insert(r0); // the repair rewired its input list
         let delta = topo_plan_delta(&ov2, &d, &[w, r], &dirty);
 
+        let core_before = Arc::as_ptr(&eng.core());
         let report = eng
             .apply_topo(
                 Sum,
@@ -3131,6 +3168,11 @@ mod tests {
         assert_eq!(report.orphaned_slots, 1);
         assert_eq!(report.slots_reclaimed, 0, "below the compaction trigger");
         assert_eq!(eng.topo_epochs(), 1);
+        assert_eq!(
+            Arc::as_ptr(&eng.core()),
+            core_before,
+            "the epoch patches the live core in place"
+        );
 
         // Carried state: every surviving reader answers as before (the
         // fresh writer holds no value yet, so the rewired net is unchanged).
@@ -3140,8 +3182,7 @@ mod tests {
         // The retired reader is gone and its slab slot is tombstoned into
         // the compaction path.
         assert_eq!(eng.read(NodeId(6)), None);
-        let core = eng.core();
-        assert!(core.store().is_retired_slot(r6.idx()));
+        assert!(eng.core().store().is_retired_slot(r6.idx()));
         assert_eq!(eng.orphaned_pao_slots(), 1);
 
         // The new topology is live on the hot path: a write to the fresh

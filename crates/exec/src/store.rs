@@ -201,6 +201,23 @@ impl<P: Send + Sync> ShardedStore<P> {
         self.orphans.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Append a slot for a fresh node (the next global index) to `shard`'s
+    /// slab — how a topology epoch grows the store in place.
+    pub fn push_slot(&mut self, shard: ShardId, value: P) {
+        let slab = self.slabs[shard.idx()].get_mut();
+        let off = slab.len() as u32;
+        slab.push(value);
+        self.loc.push(AtomicU64::new(encode_loc(shard.0, off)));
+    }
+
+    /// Append a retired slot (the next global index): a tombstone from the
+    /// start, holding no slab slot and orphaning nothing — for ids a
+    /// topology epoch creates and retires within one run.
+    pub fn push_tombstone(&mut self) {
+        self.loc
+            .push(AtomicU64::new(encode_loc(TOMBSTONE_SHARD, 0)));
+    }
+
     /// Slots orphaned by migrations since the last compaction (one per
     /// [`relocate`](Self::relocate) call): the store's memory overhead
     /// beyond one PAO per node, in PAOs. [`compact`](Self::compact)
@@ -557,6 +574,33 @@ mod tests {
             .map(|s| store.slabs[s].read().len())
             .sum();
         assert_eq!(total, 6, "retired slots reclaimed from the slabs");
+    }
+
+    #[test]
+    fn push_slot_and_tombstone_grow_the_store_in_place() {
+        let part = Partitioner::chunked(2, 4).partition(8);
+        let mut store = ShardedStore::new(&part, || 0i64);
+        store.with_mut(5, |p| *p = 55);
+        store.push_slot(ShardId(1), 80);
+        store.push_tombstone();
+        store.push_slot(ShardId(0), 100);
+        assert_eq!(store.len(), 11);
+        assert_eq!(store.shard_of(8), ShardId(1));
+        assert_eq!(store.with_read(8, |p| *p), 80);
+        assert!(store.is_retired_slot(9));
+        assert_eq!(store.with_read(10, |p| *p), 100);
+        assert_eq!(store.with_read(5, |p| *p), 55, "existing slots untouched");
+        assert_eq!(
+            store.orphaned_slots(),
+            0,
+            "a born-retired id orphans nothing"
+        );
+        {
+            let mut g = store.lock_shard(ShardId(1));
+            *g.get_mut(8) += 1;
+        }
+        assert_eq!(store.with_read(8, |p| *p), 81);
+        assert_eq!(store.compact(), 0);
     }
 
     #[test]

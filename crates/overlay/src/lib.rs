@@ -35,7 +35,7 @@ pub use dynamic::{DynamicConfig, DynamicOverlay, RepairIndex};
 pub use extend::{extend_with_readers, used_subtree, ExtendOutcome, RefCounts};
 pub use iob::{build_iob, IobConfig, IobState};
 pub use metrics::IterationStats;
-pub use overlay::{Overlay, OverlayId, OverlayKind, SignedEdge};
+pub use overlay::{Overlay, OverlayId, OverlayKind, SignedEdge, CHUNK_NODES};
 pub use pushview::PushEdgeView;
 pub use validate::{validate, validate_against, validate_vs_bipartite, ValidationError};
 pub use vnm::{build_vnm, VnmConfig, VnmVariant};

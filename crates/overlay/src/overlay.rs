@@ -6,6 +6,15 @@
 //! is an arena of `u32`-indexed nodes; construction algorithms mutate it
 //! through `&mut self`, and execution freezes it behind `&self`.
 //!
+//! Per-node adjacency and coverage live in fixed-size copy-on-write chunks
+//! of [`CHUNK_NODES`] nodes behind `Arc`s, so a clone copies chunk
+//! pointers plus a few flat per-node arrays, and a mutation copies only
+//! the one chunk it touches while another copy still shares it. A
+//! topology epoch repairs a clone of the live overlay; the resident copies
+//! (plan, stratum, engine core) keep sharing every chunk the repair left
+//! alone, and dropping a superseded copy frees only the chunks no other
+//! copy holds.
+//!
 //! Invariants maintained by every construction path in this crate:
 //!
 //! * the overlay is acyclic; writers are sources, readers are sinks;
@@ -18,7 +27,7 @@
 
 use eagr_agg::Sign;
 use eagr_graph::{BipartiteGraph, NodeId};
-use eagr_util::FastMap;
+use std::sync::Arc;
 
 /// Index of a node in the overlay arena.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -54,23 +63,111 @@ pub enum OverlayKind {
 /// A directed, signed overlay edge endpoint.
 pub type SignedEdge = (OverlayId, Sign);
 
+/// Nodes per copy-on-write chunk of [`Overlay`]'s per-node tables.
+pub const CHUNK_NODES: usize = 32;
+
+/// A per-node table split into [`CHUNK_NODES`]-sized chunks behind `Arc`s:
+/// cloning copies the chunk pointers, and a write copies only the chunk it
+/// lands in, and only while another clone still shares that chunk. Each
+/// chunk is a fixed array (slots past `len` hold `T::default()`), so a
+/// lookup is one hop from the chunk pointer to the entry.
+#[derive(Clone, Debug, Default)]
+struct Chunked<T> {
+    chunks: Vec<Arc<[T; CHUNK_NODES]>>,
+    len: usize,
+}
+
+impl<T: Clone + Default> Chunked<T> {
+    fn from_vec(items: Vec<T>) -> Self {
+        let len = items.len();
+        let mut items = items.into_iter();
+        let chunks = (0..len.div_ceil(CHUNK_NODES))
+            .map(|_| Arc::new(std::array::from_fn(|_| items.next().unwrap_or_default())))
+            .collect();
+        Self { chunks, len }
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> &T {
+        assert!(i < self.len, "overlay node {i} out of range");
+        &self.chunks[i / CHUNK_NODES][i % CHUNK_NODES]
+    }
+
+    #[inline]
+    fn get_mut(&mut self, i: usize) -> &mut T {
+        assert!(i < self.len, "overlay node {i} out of range");
+        &mut Arc::make_mut(&mut self.chunks[i / CHUNK_NODES])[i % CHUNK_NODES]
+    }
+
+    fn push(&mut self, item: T) {
+        if self.len % CHUNK_NODES == 0 {
+            self.chunks
+                .push(Arc::new(std::array::from_fn(|_| T::default())));
+        }
+        self.len += 1;
+        *self.get_mut(self.len - 1) = item;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> + '_ {
+        self.chunks.iter().flat_map(|c| c.iter()).take(self.len)
+    }
+
+    /// Chunks of `self` that `other` does not share (by pointer).
+    fn unshared_with(&self, other: &Self) -> usize {
+        self.chunks
+            .iter()
+            .enumerate()
+            .filter(|&(i, c)| other.chunks.get(i).is_none_or(|o| !Arc::ptr_eq(c, o)))
+            .count()
+    }
+}
+
+/// Marks a data node with no writer (or reader) in the dense lookup tables.
+const ABSENT: u32 = u32::MAX;
+
+/// Largest data-node id a decoded lookup table may name: the tables are
+/// dense, so a corrupt id must not size an allocation.
+const MAX_DECODED_NODE: u32 = 1 << 26;
+
+#[inline]
+fn lookup(table: &[u32], v: NodeId) -> Option<OverlayId> {
+    table
+        .get(v.idx())
+        .copied()
+        .filter(|&id| id != ABSENT)
+        .map(OverlayId)
+}
+
+/// Point `v` at `id` (or clear it with [`ABSENT`]); returns the previous
+/// entry.
+fn set_lookup(table: &mut Vec<u32>, v: NodeId, id: u32) -> Option<OverlayId> {
+    if table.len() <= v.idx() {
+        if id == ABSENT {
+            return None;
+        }
+        table.resize(v.idx() + 1, ABSENT);
+    }
+    let prev = std::mem::replace(&mut table[v.idx()], id);
+    (prev != ABSENT).then_some(OverlayId(prev))
+}
+
 /// The aggregation overlay graph.
 #[derive(Clone, Debug)]
 pub struct Overlay {
     kinds: Vec<OverlayKind>,
     /// Upstream endpoints per node (the node's *inputs*).
-    inputs: Vec<Vec<SignedEdge>>,
+    inputs: Chunked<Vec<SignedEdge>>,
     /// Downstream endpoints per node (the node's *consumers*).
-    outputs: Vec<Vec<SignedEdge>>,
-    /// Data node → writer overlay node.
-    writer_ids: FastMap<NodeId, OverlayId>,
-    /// Data node → reader overlay node.
-    reader_ids: FastMap<NodeId, OverlayId>,
+    outputs: Chunked<Vec<SignedEdge>>,
+    /// Data node → writer overlay node (dense, [`ABSENT`] when none).
+    writer_of: Vec<u32>,
+    /// Data node → reader overlay node (dense, [`ABSENT`] when none).
+    reader_of: Vec<u32>,
     /// `coverage[n]` = I(n): sorted data-graph writer ids the node
     /// transitively aggregates (positive edges only). Writers: singleton;
     /// readers: not maintained (derivable; their net coverage is validated
     /// instead).
-    coverage: Vec<Vec<u32>>,
+    coverage: Chunked<Vec<u32>>,
     /// Edge count of the bipartite graph this overlay was derived from —
     /// the denominator of the sharing index (§3.1).
     ag_edge_count: usize,
@@ -126,11 +223,11 @@ impl Overlay {
     fn empty(ag_edge_count: usize) -> Self {
         Self {
             kinds: Vec::new(),
-            inputs: Vec::new(),
-            outputs: Vec::new(),
-            writer_ids: FastMap::default(),
-            reader_ids: FastMap::default(),
-            coverage: Vec::new(),
+            inputs: Chunked::default(),
+            outputs: Chunked::default(),
+            writer_of: Vec::new(),
+            reader_of: Vec::new(),
+            coverage: Chunked::default(),
             ag_edge_count,
             edge_count: 0,
             dead: Vec::new(),
@@ -152,24 +249,26 @@ impl Overlay {
     /// from [`ids`](Self::ids), [`readers`](Self::readers),
     /// [`writers`](Self::writers), and the writer/reader lookups.
     pub fn retire_node(&mut self, n: OverlayId) {
-        let outs = self.outputs[n.idx()].clone();
+        let outs = self.outputs.get(n.idx()).clone();
         for (t, s) in outs {
             self.remove_edge(n, t, s);
         }
-        let ins = self.inputs[n.idx()].clone();
+        let ins = self.inputs.get(n.idx()).clone();
         for (f, s) in ins {
             self.remove_edge(f, n, s);
         }
         match self.kinds[n.idx()] {
             OverlayKind::Writer(w) => {
-                self.writer_ids.remove(&w);
+                set_lookup(&mut self.writer_of, w, ABSENT);
             }
             OverlayKind::Reader(r) => {
-                self.reader_ids.remove(&r);
+                set_lookup(&mut self.reader_of, r, ABSENT);
             }
             OverlayKind::Partial => {}
         }
-        self.coverage[n.idx()].clear();
+        if !self.coverage.get(n.idx()).is_empty() {
+            self.coverage.get_mut(n.idx()).clear();
+        }
         self.dead[n.idx()] = true;
     }
 
@@ -185,7 +284,7 @@ impl Overlay {
     /// Panics if `w` already has a writer node.
     pub fn add_writer(&mut self, w: NodeId) -> OverlayId {
         let id = self.push_node(OverlayKind::Writer(w), vec![w.0]);
-        let prev = self.writer_ids.insert(w, id);
+        let prev = set_lookup(&mut self.writer_of, w, id.0);
         assert!(prev.is_none(), "duplicate writer for {w:?}");
         id
     }
@@ -196,7 +295,7 @@ impl Overlay {
     /// Panics if `r` already has a reader node.
     pub fn add_reader(&mut self, r: NodeId) -> OverlayId {
         let id = self.push_node(OverlayKind::Reader(r), Vec::new());
-        let prev = self.reader_ids.insert(r, id);
+        let prev = set_lookup(&mut self.reader_of, r, id.0);
         assert!(prev.is_none(), "duplicate reader for {r:?}");
         id
     }
@@ -213,7 +312,7 @@ impl Overlay {
                 !matches!(self.kinds[it.idx()], OverlayKind::Reader(_)),
                 "reader cannot feed an aggregator"
             );
-            cov.extend_from_slice(&self.coverage[it.idx()]);
+            cov.extend_from_slice(self.coverage.get(it.idx()));
         }
         cov.sort_unstable();
         cov.dedup();
@@ -227,25 +326,31 @@ impl Overlay {
     /// Add a signed edge `from → to`. (Readers feeding other nodes violate
     /// the overlay invariant; [`mod@crate::validate`] reports it.)
     pub fn add_edge(&mut self, from: OverlayId, to: OverlayId, sign: Sign) {
-        self.outputs[from.idx()].push((to, sign));
-        self.inputs[to.idx()].push((from, sign));
+        self.outputs.get_mut(from.idx()).push((to, sign));
+        self.inputs.get_mut(to.idx()).push((from, sign));
         self.edge_count += 1;
     }
 
     /// Remove the signed edge `from → to` (first occurrence). Returns
     /// whether an edge was removed.
     pub fn remove_edge(&mut self, from: OverlayId, to: OverlayId, sign: Sign) -> bool {
-        let outs = &mut self.outputs[from.idx()];
-        let Some(pos) = outs.iter().position(|&(t, s)| t == to && s == sign) else {
+        // Look before writing: a miss must not copy a shared chunk.
+        let Some(pos) = self
+            .outputs
+            .get(from.idx())
+            .iter()
+            .position(|&(t, s)| t == to && s == sign)
+        else {
             return false;
         };
-        outs.swap_remove(pos);
-        let ins = &mut self.inputs[to.idx()];
-        let ipos = ins
+        self.outputs.get_mut(from.idx()).swap_remove(pos);
+        let ipos = self
+            .inputs
+            .get(to.idx())
             .iter()
             .position(|&(f, s)| f == from && s == sign)
             .expect("edge lists out of sync");
-        ins.swap_remove(ipos);
+        self.inputs.get_mut(to.idx()).swap_remove(ipos);
         self.edge_count -= 1;
         true
     }
@@ -284,36 +389,36 @@ impl Overlay {
     /// Upstream signed endpoints of `n`.
     #[inline]
     pub fn inputs(&self, n: OverlayId) -> &[SignedEdge] {
-        &self.inputs[n.idx()]
+        self.inputs.get(n.idx())
     }
 
     /// Downstream signed endpoints of `n`.
     #[inline]
     pub fn outputs(&self, n: OverlayId) -> &[SignedEdge] {
-        &self.outputs[n.idx()]
+        self.outputs.get(n.idx())
     }
 
     /// Fan-in of `n` (the `k` of the cost functions `H(k)`/`L(k)`).
     #[inline]
     pub fn fan_in(&self, n: OverlayId) -> usize {
-        self.inputs[n.idx()].len()
+        self.inputs.get(n.idx()).len()
     }
 
     /// Writer overlay node for data node `w`, if present.
     pub fn writer(&self, w: NodeId) -> Option<OverlayId> {
-        self.writer_ids.get(&w).copied()
+        lookup(&self.writer_of, w)
     }
 
     /// Reader overlay node for data node `r`, if present.
     pub fn reader(&self, r: NodeId) -> Option<OverlayId> {
-        self.reader_ids.get(&r).copied()
+        lookup(&self.reader_of, r)
     }
 
     /// `I(n)` — sorted data-graph writer ids node `n` transitively
     /// aggregates along positive edges (empty for readers: validated, not
     /// stored).
     pub fn coverage(&self, n: OverlayId) -> &[u32] {
-        &self.coverage[n.idx()]
+        self.coverage.get(n.idx())
     }
 
     /// All live overlay ids.
@@ -356,8 +461,8 @@ impl Overlay {
     /// Remove the writer coverage entry `w` from a node's coverage list
     /// (node deletion maintenance, §3.3).
     pub(crate) fn coverage_remove(&mut self, n: OverlayId, w: u32) {
-        if let Ok(pos) = self.coverage[n.idx()].binary_search(&w) {
-            self.coverage[n.idx()].remove(pos);
+        if let Ok(pos) = self.coverage.get(n.idx()).binary_search(&w) {
+            self.coverage.get_mut(n.idx()).remove(pos);
         }
     }
 
@@ -365,7 +470,7 @@ impl Overlay {
     /// cycle — construction algorithms must never produce one.
     pub fn topo_order(&self) -> Vec<OverlayId> {
         let n = self.kinds.len();
-        let mut indeg: Vec<u32> = (0..n).map(|i| self.inputs[i].len() as u32).collect();
+        let mut indeg: Vec<u32> = self.inputs.iter().map(|ins| ins.len() as u32).collect();
         let mut queue: Vec<OverlayId> = (0..n as u32)
             .map(OverlayId)
             .filter(|id| indeg[id.idx()] == 0)
@@ -376,7 +481,7 @@ impl Overlay {
             let u = queue[head];
             head += 1;
             order.push(u);
-            for &(v, _) in &self.outputs[u.idx()] {
+            for &(v, _) in self.outputs.get(u.idx()) {
                 indeg[v.idx()] -= 1;
                 if indeg[v.idx()] == 0 {
                     queue.push(v);
@@ -392,12 +497,27 @@ impl Overlay {
         let edge = std::mem::size_of::<SignedEdge>();
         let mut total = self.kinds.len()
             * (std::mem::size_of::<OverlayKind>() + 2 * std::mem::size_of::<Vec<SignedEdge>>());
-        for i in 0..self.kinds.len() {
-            total += (self.inputs[i].capacity() + self.outputs[i].capacity()) * edge;
-            total += self.coverage[i].capacity() * 4;
+        for ((ins, outs), cov) in self
+            .inputs
+            .iter()
+            .zip(self.outputs.iter())
+            .zip(self.coverage.iter())
+        {
+            total += (ins.capacity() + outs.capacity()) * edge;
+            total += cov.capacity() * 4;
         }
-        total += (self.writer_ids.len() + self.reader_ids.len()) * 16;
+        total += (self.writer_of.len() + self.reader_of.len()) * 4;
         total
+    }
+
+    /// Copy-on-write chunks of this overlay's per-node tables (inputs,
+    /// outputs, coverage) that `other` does not share — what a repair of a
+    /// clone has copied so far. Chunks past `other`'s end count as
+    /// unshared.
+    pub fn chunks_unshared_with(&self, other: &Overlay) -> usize {
+        self.inputs.unshared_with(&other.inputs)
+            + self.outputs.unshared_with(&other.outputs)
+            + self.coverage.unshared_with(&other.coverage)
     }
 }
 
@@ -446,29 +566,78 @@ impl Wire for OverlayKind {
     }
 }
 
+// The chunked tables encode as flat per-node sequences and the dense
+// lookups as key-sorted `(data node, overlay node)` maps, so the bytes do
+// not depend on how the tables are stored.
+
+fn encode_chunked<T: Wire + Clone + Default>(table: &Chunked<T>, out: &mut Vec<u8>) {
+    table.len.encode(out);
+    for item in table.iter() {
+        item.encode(out);
+    }
+}
+
+fn encode_lookup(table: &[u32], out: &mut Vec<u8>) {
+    let entries = table.iter().filter(|&&id| id != ABSENT).count();
+    entries.encode(out);
+    for (v, &id) in table.iter().enumerate() {
+        if id != ABSENT {
+            (v as u32).encode(out);
+            id.encode(out);
+        }
+    }
+}
+
+fn decode_lookup(buf: &mut &[u8]) -> Result<Vec<u32>, WireError> {
+    let entries = usize::decode(buf)?;
+    let mut table = Vec::new();
+    for _ in 0..entries {
+        let v = u32::decode(buf)?;
+        let id = u32::decode(buf)?;
+        if v >= MAX_DECODED_NODE || id == ABSENT {
+            return Err(WireError::OutOfRange("overlay lookup entry"));
+        }
+        set_lookup(&mut table, NodeId(v), id);
+    }
+    Ok(table)
+}
+
 impl Wire for Overlay {
     fn encode(&self, out: &mut Vec<u8>) {
         self.kinds.encode(out);
-        self.inputs.encode(out);
-        self.outputs.encode(out);
-        self.writer_ids.encode(out);
-        self.reader_ids.encode(out);
-        self.coverage.encode(out);
+        encode_chunked(&self.inputs, out);
+        encode_chunked(&self.outputs, out);
+        encode_lookup(&self.writer_of, out);
+        encode_lookup(&self.reader_of, out);
+        encode_chunked(&self.coverage, out);
         self.ag_edge_count.encode(out);
         self.edge_count.encode(out);
         self.dead.encode(out);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        let kinds: Vec<OverlayKind> = Wire::decode(buf)?;
+        let inputs: Vec<Vec<SignedEdge>> = Wire::decode(buf)?;
+        let outputs: Vec<Vec<SignedEdge>> = Wire::decode(buf)?;
+        let writer_of = decode_lookup(buf)?;
+        let reader_of = decode_lookup(buf)?;
+        let coverage: Vec<Vec<u32>> = Wire::decode(buf)?;
+        let ag_edge_count = Wire::decode(buf)?;
+        let edge_count = Wire::decode(buf)?;
+        let dead: Vec<bool> = Wire::decode(buf)?;
+        let n = kinds.len();
+        if [inputs.len(), outputs.len(), coverage.len(), dead.len()] != [n; 4] {
+            return Err(WireError::OutOfRange("overlay per-node table length"));
+        }
         Ok(Overlay {
-            kinds: Wire::decode(buf)?,
-            inputs: Wire::decode(buf)?,
-            outputs: Wire::decode(buf)?,
-            writer_ids: Wire::decode(buf)?,
-            reader_ids: Wire::decode(buf)?,
-            coverage: Wire::decode(buf)?,
-            ag_edge_count: Wire::decode(buf)?,
-            edge_count: Wire::decode(buf)?,
-            dead: Wire::decode(buf)?,
+            kinds,
+            inputs: Chunked::from_vec(inputs),
+            outputs: Chunked::from_vec(outputs),
+            writer_of,
+            reader_of,
+            coverage: Chunked::from_vec(coverage),
+            ag_edge_count,
+            edge_count,
+            dead,
         })
     }
 }

@@ -423,3 +423,56 @@ fn churn_with_attach_detach_over_two_strata_matches_oracle() {
     }
     assert_eq!(reports[0], reports[1], "modes repaired alike");
 }
+
+#[test]
+fn topology_epochs_orphan_only_the_slots_they_retire() {
+    // A retired node's slab slot is orphaned once, by the epoch that
+    // retired it, so compaction can never reclaim more slots than repairs
+    // retired or created — however low the compaction trigger.
+    use eagr::exec::RebalancePolicy;
+    let g = social_graph(200, 3, 5);
+    let stream = churn_stream(
+        &g,
+        &ChurnConfig {
+            epochs: 20,
+            epoch_events: 100,
+            node_churn: 0.5,
+            seed: 5,
+            ..Default::default()
+        },
+    );
+    let policy = RebalancePolicy {
+        compact_after_orphans: 8,
+        ..RebalancePolicy::manual()
+    };
+    let build = |mode| {
+        EagrSystem::builder(EgoQuery::new(Sum))
+            .execution(mode)
+            .rebalance(policy)
+            .build(&g)
+    };
+    let reference = build(ExecutionMode::SingleThreaded);
+    let sharded = build(ExecutionMode::Sharded { shards: 2 });
+    for batch in &stream {
+        assert_eq!(reference.ingest(batch), sharded.ingest(batch));
+    }
+    let topo = sharded.registry_stats().topo;
+    assert!(topo.epochs >= 40, "only {} mutation runs", topo.epochs);
+    assert!(
+        topo.retired_overlay_nodes >= 16,
+        "retirements cross the trigger"
+    );
+    let reclaimed = sharded.sharded_engine().unwrap().slots_reclaimed();
+    assert!(reclaimed > 0, "auto-compaction fired");
+    assert!(
+        reclaimed <= topo.retired_overlay_nodes + topo.fresh_overlay_nodes,
+        "reclaimed {reclaimed} slots, but repairs retired {} and created {}",
+        topo.retired_overlay_nodes,
+        topo.fresh_overlay_nodes
+    );
+    let nodes: Vec<NodeId> = (0..sharded.stream_position() as u32)
+        .map(NodeId)
+        .take(400)
+        .collect();
+    assert_eq!(sharded.read_batch(&nodes), reference.read_batch(&nodes));
+}

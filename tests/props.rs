@@ -14,7 +14,9 @@ use eagr::exec::{EngineCore, RebalancePolicy, ShardedConfig, ShardedEngine};
 use eagr::flow::{decide_maxflow, node_costs, propagate_frequencies, Decisions, Rates};
 use eagr::gen::{batch_events, Event};
 use eagr::graph::{BipartiteGraph, DataGraph, Neighborhood, NodeId, PartitionStrategy};
-use eagr::overlay::{build_iob, build_vnm, validate_vs_bipartite, IobConfig, Overlay, VnmConfig};
+use eagr::overlay::{
+    build_iob, build_vnm, validate_vs_bipartite, IobConfig, Overlay, OverlayId, VnmConfig,
+};
 use eagr::prelude::*;
 use eagr::{EagrSystem, NaiveOracle, OverlayAlgorithm};
 use proptest::prelude::*;
@@ -613,6 +615,103 @@ proptest! {
         prop_assert_eq!(snapshot(&g), after);
         g.rollback(&log);
         prop_assert_eq!(snapshot(&g), before);
+    }
+
+    #[test]
+    fn overlay_clone_copies_only_the_chunks_a_repair_touches(
+        seed in 0u64..50,
+        ops in proptest::collection::vec((0u8..4, any::<u32>(), any::<u32>()), 1..30),
+        writes in proptest::collection::vec((any::<u32>(), -50i64..50), 10..120),
+    ) {
+        // Copy-on-write independence: repair a clone of an overlay through
+        // DynamicOverlay. The original's bytes never change; each repair
+        // step copies only chunks holding an id whose inputs, outputs or
+        // coverage it changed (or appended); and the repaired clone answers
+        // like the naive oracle over the mutated graph.
+        use eagr::overlay::{DynamicConfig, DynamicOverlay, CHUNK_NODES};
+        use eagr::util::wire::Wire;
+        let mut g = eagr::gen::social_graph(150, 3, seed);
+        let props = Sum.props();
+        let ag0 = BipartiteGraph::build(&g, &Neighborhood::In, |_| true);
+        let (original, _) = build_vnm(&ag0, &VnmConfig::vnma(props));
+        let original_bytes = original.to_wire();
+        let mut dyn_ov = DynamicOverlay::new(
+            original.clone(),
+            Neighborhood::In,
+            props,
+            DynamicConfig::default(),
+        );
+        // Chunks holding a changed or appended id, counted per table.
+        let touched_chunks = |prev: &Overlay, now: &Overlay| -> usize {
+            let mut chunks = std::collections::HashSet::new();
+            for id in (0..now.node_count() as u32).map(OverlayId) {
+                let fresh = id.idx() >= prev.node_count();
+                let changed = [
+                    fresh || prev.inputs(id) != now.inputs(id),
+                    fresh || prev.outputs(id) != now.outputs(id),
+                    fresh || prev.coverage(id) != now.coverage(id),
+                ];
+                for (table, &c) in changed.iter().enumerate() {
+                    if c {
+                        chunks.insert((table, id.idx() / CHUNK_NODES));
+                    }
+                }
+            }
+            chunks.len()
+        };
+        for &(pick, a, b) in &ops {
+            let prev = dyn_ov.overlay().clone();
+            match pick {
+                0 => {
+                    let bound = g.id_bound() as u32;
+                    let (u, v) = (NodeId(a % bound), NodeId(b % bound));
+                    if u != v && g.contains(u) && g.contains(v) {
+                        dyn_ov.add_edge(&mut g, u, v);
+                    }
+                }
+                1 => {
+                    let edges: Vec<_> = g.edges().collect();
+                    if !edges.is_empty() {
+                        let (u, v) = edges[a as usize % edges.len()];
+                        dyn_ov.remove_edge(&mut g, u, v);
+                    }
+                }
+                2 => {
+                    dyn_ov.add_node(&mut g);
+                }
+                _ => {
+                    let bound = g.id_bound() as u32;
+                    let v = NodeId(a % bound);
+                    if g.contains(v) && g.node_count() > 2 {
+                        dyn_ov.remove_node(&mut g, v);
+                    }
+                }
+            }
+            let now = dyn_ov.overlay();
+            prop_assert!(
+                now.chunks_unshared_with(&prev) <= touched_chunks(&prev, now),
+                "a step copied {} chunks but changed ids in only {}",
+                now.chunks_unshared_with(&prev),
+                touched_chunks(&prev, now)
+            );
+        }
+        prop_assert!(original.to_wire() == original_bytes, "the original changed");
+        let repaired = Arc::new(dyn_ov.into_overlay());
+        let d = Decisions::all_push(&repaired);
+        let engine = EngineCore::new(Sum, Arc::clone(&repaired), &d, WindowSpec::Tuple(1));
+        let mut oracle = NaiveOracle::new(Sum, WindowSpec::Tuple(1), Neighborhood::In);
+        for (ts, &(n, v)) in writes.iter().enumerate() {
+            let node = NodeId(n % g.id_bound() as u32);
+            if g.contains(node) {
+                engine.write(node, v, ts as u64);
+                oracle.write(node, v, ts as u64);
+            }
+        }
+        for v in g.nodes() {
+            if let Some(got) = engine.read(v) {
+                prop_assert_eq!(got, oracle.read(&g, v), "node {:?}", v);
+            }
+        }
     }
 
     #[test]

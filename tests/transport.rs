@@ -548,3 +548,66 @@ fn process_attach_and_detach_match_single_threaded() {
         a_socket.read_batch(&nodes),
     );
 }
+
+/// Topology epochs over the socket transport: a churn stream with node
+/// churn through `Sharded{2}` over processes against `SingleThreaded`. The
+/// coordinator patches its core in place and ships each host the new plan
+/// with its owned state; at every `ingest` boundary every node's answer
+/// and the cumulative topology report must agree.
+#[test]
+fn process_topology_epochs_match_single_threaded() {
+    use eagr::gen::{churn_stream, ChurnConfig};
+    require_host_binary();
+    for seed in [0xC4u64, 0xC5] {
+        let g = social_graph(60, 3, seed);
+        let stream = churn_stream(
+            &g,
+            &ChurnConfig {
+                epochs: 6,
+                epoch_events: 150,
+                churn_fraction: 0.05,
+                node_churn: 0.3,
+                seed,
+                ..Default::default()
+            },
+        );
+        let build = |execution: ExecutionMode, transport: TransportKind| {
+            EagrSystem::builder(EgoQuery::new(Sum))
+                .execution(execution)
+                .transport(transport)
+                .build(&g)
+        };
+        let single = build(ExecutionMode::SingleThreaded, TransportKind::InProcess);
+        let socket = build(ExecutionMode::Sharded { shards: 2 }, TransportKind::Process);
+        let mut bound = g.id_bound();
+        for (i, batch) in stream.iter().enumerate() {
+            assert_eq!(single.ingest(batch), socket.ingest(batch), "batch {i}");
+            for e in batch {
+                if let Event::AddNode { node } = *e {
+                    bound = bound.max(node.idx() + 1);
+                }
+            }
+            let nodes: Vec<NodeId> = (0..bound as u32).map(NodeId).collect();
+            assert_eq!(
+                socket.read_batch(&nodes),
+                single.read_batch(&nodes),
+                "seed {seed:#x}, batch {i}: socket transport diverged"
+            );
+            assert_eq!(
+                socket.registry_stats().topo,
+                single.registry_stats().topo,
+                "seed {seed:#x}, batch {i}"
+            );
+        }
+        let topo = socket.registry_stats().topo;
+        assert!(
+            topo.epochs >= 6,
+            "seed {seed:#x}: {} mutation runs",
+            topo.epochs
+        );
+        assert!(
+            topo.fresh_overlay_nodes > 0 && topo.retired_overlay_nodes > 0,
+            "seed {seed:#x}: the churn grows and shrinks the overlay"
+        );
+    }
+}
