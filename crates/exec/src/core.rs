@@ -651,10 +651,7 @@ impl<A: Aggregate, S: PaoStore<A::Partial>> EngineCore<A, S> {
         assert!(n >= old_n, "overlay ids are append-only");
         assert_eq!(decisions.of.len(), n, "decisions must cover every node");
         for (flag, &d) in self.push_flag.iter_mut().zip(&decisions.of) {
-            let push = d == Decision::Push;
-            if *flag.get_mut() != push {
-                *flag.get_mut() = push;
-            }
+            *flag.get_mut() = d == Decision::Push;
         }
         for (idx, slot) in self.windows.iter_mut().enumerate() {
             if slot.is_some() && overlay.is_retired(OverlayId(idx as u32)) {

@@ -643,7 +643,7 @@ pub struct ShardedEngine<A: Aggregate> {
     /// ([`apply_topo`](Self::apply_topo)) write-locks it under the fence
     /// and patches it in place.
     core: CoreCell<A>,
-    /// The live node→shard map, swapped together with the core.
+    /// The live node→shard map, replaced by topology epochs.
     partition: RwLock<Arc<LivePartition>>,
     window: WindowSpec,
     policy: RebalancePolicy,
@@ -1391,9 +1391,10 @@ impl<A: Aggregate> ShardedEngine<A> {
     /// when the orphan count clears the policy trigger.
     ///
     /// # Panics
-    /// Panics if `overlay` has fewer ids than the current one, if
-    /// `decisions` does not cover it, or if a borrow of the core
-    /// ([`core`](Self::core)) is held across the call.
+    /// Panics if `overlay` has fewer ids than the current one or
+    /// `decisions` does not cover it. A [`core`](Self::core) borrow held
+    /// by another thread delays the install until it drops; the calling
+    /// thread must not hold one.
     pub fn apply_topo(
         &self,
         agg: A,
@@ -1445,7 +1446,6 @@ impl<A: Aggregate> ShardedEngine<A> {
             }
         }
         retired_nodes += orphaned as usize;
-        drop(old);
         let rematerialized = core.seed(None, backfill, materialize);
         drop(cell);
         let partition = Arc::new(LivePartition::new(&part));
