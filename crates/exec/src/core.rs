@@ -626,8 +626,7 @@ impl<A: Aggregate, S: PaoStore<A::Partial>> EngineCore<A, S> {
     /// of the current one (retirements tombstone in place, ids never
     /// renumber), and return the overlay it replaces:
     ///
-    /// * the push flags of pre-existing nodes flip only where `decisions`
-    ///   changed them;
+    /// * every push flag is set from `decisions`;
     /// * fresh ids get a window (live writers only) and zeroed observed
     ///   counters;
     /// * writers the new overlay retires drop their windows;

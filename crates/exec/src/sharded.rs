@@ -2149,7 +2149,7 @@ fn writers_by_shard(overlay: &Overlay, map: &LivePartition) -> Vec<Vec<OverlayId
 /// The in-process [`ShardTransport`]: one owning worker thread per shard,
 /// crossbeam bounded channels in between. The workers share the
 /// coordinator's core, so the state plane works on that core directly;
-/// only handing workers a new core or map travels through their inboxes.
+/// only handing workers a new map travels through their inboxes.
 struct InProcessTransport<A: Aggregate> {
     txs: Vec<Sender<ShardMsg<A>>>,
     handles: Mutex<Vec<JoinHandle<()>>>,

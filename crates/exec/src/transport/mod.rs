@@ -195,8 +195,8 @@ pub trait ShardTransport<A: Aggregate>: Send + Sync {
     /// exporting it carries reality. Call on a drained engine.
     fn pull_state(&self, core: &ShardedCore<A>) -> Result<(), TransportError>;
 
-    /// Hand every peer `core`'s plan and state under `map`: the new core
-    /// of a topology epoch, or a freshly seeded one. Peers may still be
+    /// Hand every peer `core`'s plan and state under `map`: the core a
+    /// topology epoch just patched, or a freshly seeded one. Peers may still be
     /// settling when this returns; drain before the next fence ends.
     fn publish(
         &self,
